@@ -3,15 +3,16 @@
 Library layout:
 
 - ``words``: binary words and eventually periodic sequences, the
-  Thue-Morse sequence, the doubling map, and the extremal set.
+  Thue-Morse sequence, the doubling map, the extremal set, and primitive
+  necklace enumeration.
 - ``algebraic``: integer polynomials and certified real root arithmetic.
 - ``expansions``: greedy and quasi-greedy expansions, uniqueness
   criterion, evaluation, base solving, and the gap map.
 - ``thresholds``: Sharkovskii ordering, least extremal sequences, the
   certified period thresholds, and the Komornik-Loreti constant.
-- ``trapezoid``: trapezoidal maps, itineraries, the blockwise encoding,
+- ``trapezoid``: trapezoidal maps, itineraries, the run-start encoding,
   the unimodal order, cycle search, and the extension demonstration.
-- ``oracle``: brute-force verification (necklace enumeration, threshold
+- ``oracle``: brute-force verification (necklace exhaustion, threshold
   recovery by bisection, ordering checks).
 - ``cli``: the ``univoque`` command.
 """
@@ -46,12 +47,10 @@ from .expansions import (
     solve_base,
 )
 from .oracle import (
-    Necklace,
     exists_period_n_unique,
     extremal_rotation,
     lemma_report,
     min_beta_for_period,
-    primitive_necklaces,
     verify_ordering,
 )
 from .thresholds import (
@@ -86,12 +85,14 @@ from .words import (
     GREATER,
     LESS,
     BinaryWord,
+    Necklace,
     PeriodicSeq,
     doubling_map,
     doubling_prefix,
     is_extremal,
     lex_cmp,
     mirror,
+    primitive_necklaces,
     shift,
     split_halfmirror,
     thue_morse,

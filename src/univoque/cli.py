@@ -53,7 +53,7 @@ from .expansions import (
     is_unique_expansion,
     shift_map,
 )
-from .words import PeriodicSeq
+from .words import NECKLACE_LIMIT, PeriodicSeq
 
 _DOMAIN_ERRORS = (
     PreconditionViolated,
@@ -258,6 +258,9 @@ def cmd_conjecture_2n(args, out) -> int:
     2^n threshold and report which 2^n cycles exist, plateau-avoiding
     or through the plateau."""
     length = 1 << args.n
+    if length > NECKLACE_LIMIT:
+        raise TooLargeError(f"cycle length 2^{args.n} = {length} exceeds "
+                            f"NECKLACE_LIMIT = {NECKLACE_LIMIT}")
     center = float(thresholds.threshold_beta(length, 1e-10))
     lo = args.beta_min if args.beta_min is not None else center - 0.02
     hi = args.beta_max if args.beta_max is not None else center + 0.02
@@ -266,10 +269,7 @@ def cmd_conjecture_2n(args, out) -> int:
     for i in range(args.steps):
         b = lo + (hi - lo) * i / (args.steps - 1) if args.steps > 1 else lo
         params = trapezoid.as_params(b)
-        try:
-            lr = bool(trapezoid.find_lr_cycles(params, length))
-        except UnivoqueError:
-            lr = False
+        lr = bool(trapezoid.find_lr_cycles(params, length))
         c_len = "-"
         x = params.plateau()[2]
         try:

@@ -2,9 +2,10 @@
 
 Provides the greedy digit algorithm, the lazily computed expansion of 1
 and its quasi-greedy periodic form, evaluation of digit sequences, the
-inverse problem (solving for the base that makes a digit sequence expand
-1), Parry admissibility, the two-sided lexicographic uniqueness
-criterion, and the gap map realizing the digit shift on values.
+inverse problem (solving exactly for the base that makes an eventually
+periodic digit sequence expand 1), Parry admissibility, the two-sided
+lexicographic uniqueness criterion, and the gap map realizing the digit
+shift on values.
 
 Bases come in two flavours.  A float base carries a tolerance: any
 decision that lands inside the accumulated uncertainty raises instead of
@@ -367,13 +368,41 @@ def expansion_value(beta, s: PeriodicSeq) -> float:
     return head + b ** -len(pre) * tail / (1.0 - b ** -len(per))
 
 
-def solve_base(s: PeriodicSeq) -> BetaValue:
+def _base_poly(s: PeriodicSeq) -> IntPolynomial:
+    """Integer polynomial whose root in (1, 2) is the base in which s
+    expands 1.
+
+    With preperiod a_1..a_p and period c_1..c_q, clearing denominators
+    in sum a_i x^-i + x^-p sum c_j x^-j / (1 - x^-q) = 1 gives
+    x^p (x^q - 1) - (x^q - 1) sum a_i x^(p-i) - sum c_j x^(q-j), of
+    degree p + q.  The all-zero period keeps the shorter x^p - sum
+    a_i x^(p-i): the general form would gain a root at 1 there.
+    """
+    pre, per = s.preperiod.bits, s.period.bits
+    p, q = len(pre), len(per)
+    if per == (0,):
+        coeffs = [0] * (p + 1)
+        coeffs[p] = 1
+        for i, a in enumerate(pre, 1):
+            coeffs[p - i] -= a
+        return IntPolynomial(coeffs)
+    coeffs = [0] * (p + q + 1)
+    coeffs[p + q] = 1
+    coeffs[p] -= 1
+    for i, a in enumerate(pre, 1):
+        coeffs[p + q - i] -= a
+        coeffs[p - i] += a
+    for j, c in enumerate(per, 1):
+        coeffs[q - j] -= c
+    return IntPolynomial(coeffs)
+
+
+def solve_base(s: PeriodicSeq) -> AlgebraicBeta:
     """The unique base in (1, 2) whose expansion of the sequence s is 1.
 
-    Returns an algebraic (exact) base when the equation clears to an
-    integer polynomial: for purely periodic s and for s with finite digit
-    support (all-zero period).  Other eventually periodic sequences fall
-    back to float bisection on the closed-form value.
+    Exact for every eventually periodic s: the equation clears to an
+    integer polynomial (see _base_poly), and the base is returned as its
+    certified root in (1, 2).
     """
     pre, per = s.preperiod.bits, s.period.bits
     zeros = pre.count(0) + (math.inf if 0 in per else 0)
@@ -381,34 +410,7 @@ def solve_base(s: PeriodicSeq) -> BetaValue:
     if zeros < 1 or ones < 2:
         raise PreconditionViolated(
             "sequence must contain at least one 0 and at least two 1s")
-    if not pre:
-        q = len(per)
-        coeffs = [0] * (q + 1)
-        coeffs[q] = 1
-        for j in range(1, q):
-            coeffs[q - j] = -per[j - 1]
-        coeffs[0] = -(per[q - 1] + 1)
-        return AlgebraicBeta(IntPolynomial(coeffs), 1, 2)
-    if per == (0,):
-        p = len(pre)
-        coeffs = [0] * (p + 1)
-        coeffs[p] = 1
-        for i in range(1, p + 1):
-            coeffs[p - i] = -pre[i - 1]
-        return AlgebraicBeta(IntPolynomial(coeffs), 1, 2)
-    lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
-    f = lambda b: expansion_value(FloatBeta(b), s) - 1.0
-    if not (f(lo) > 0.0 > f(hi)):
-        raise PreconditionViolated("no sign change for the base equation in (1, 2)")
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return FloatBeta(0.5 * (lo + hi))
+    return AlgebraicBeta(_base_poly(s), 1, 2)
 
 
 def is_parry_admissible(s: PeriodicSeq) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
@@ -32,57 +31,18 @@ from .expansions import (
 )
 from .thresholds import min_extremal_recursive, sharkovskii_cmp, threshold_beta
 from .trapezoid import decode_itinerary, encode_itinerary, unimodal_cmp
-from .words import (
+from .words import (  # noqa: F401  (NECKLACE_LIMIT, Necklace re-exported)
     EQUAL,
     GREATER,
     LESS,
-    BinaryWord,
+    NECKLACE_LIMIT,
+    Necklace,
     PeriodicSeq,
-    is_extremal,
     lex_cmp,
     mirror,
+    primitive_necklaces,
     shift,
 )
-
-NECKLACE_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class Necklace:
-    """A rotation class of primitive binary words, anchored at the
-    lexicographically largest rotation."""
-
-    representative: BinaryWord
-    period: int
-
-
-def _lyndon_words(n: int):
-    """Duval's algorithm; yields the aperiodic words of length exactly n
-    that are minimal in their rotation class."""
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if m == n:
-            yield tuple(w)
-        while len(w) < n:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
-            w.pop()
-
-
-def primitive_necklaces(n: int) -> list[Necklace]:
-    """One representative per rotation class of primitive period-n words."""
-    if n < 1:
-        raise PreconditionViolated("period must be positive")
-    if n > NECKLACE_LIMIT:
-        raise TooLargeError(f"necklace enumeration capped at n = {NECKLACE_LIMIT}")
-    out = []
-    for w in _lyndon_words(n):
-        rep = max(w[i:] + w[:i] for i in range(n))
-        out.append(Necklace(BinaryWord(rep), n))
-    return out
-
 
 def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
     """Largest sequence among all shifts of s and of its mirror."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebraic import IntPolynomial, squarefree_part
 from .errors import PreconditionViolated
-from .expansions import AlgebraicBeta, FloatBeta
+from .expansions import AlgebraicBeta, FloatBeta, _base_poly, solve_base
 from .words import (
     EQUAL,
     GREATER,
@@ -114,18 +114,13 @@ def min_extremal_explicit(k: int) -> PeriodicSeq:
 
 
 def threshold_poly(k: int) -> IntPolynomial:
-    """Defining polynomial of the k-th threshold: x^k minus the terms
-    weighted by the extremal period word, minus 1.  Monic, not
-    necessarily irreducible."""
+    """Defining polynomial of the k-th threshold: the base polynomial of
+    the least extremal sequence of period k, that is x^k minus the terms
+    weighted by its period word (whose last symbol is 0), minus 1.
+    Monic, not necessarily irreducible."""
     if k < 2:
         raise PreconditionViolated("threshold polynomials start at k = 2")
-    alpha = min_extremal_recursive(k).period.bits
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    coeffs[0] = -1
-    for i in range(1, k):
-        coeffs[k - i] = -alpha[i - 1]
-    return IntPolynomial(coeffs)
+    return _base_poly(min_extremal_recursive(k))
 
 
 def threshold_beta(k: int, eps: float = 1e-8) -> AlgebraicBeta:
@@ -253,14 +248,11 @@ def below_komornik_loreti(k: int) -> bool:
 
 
 def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:
-    """Root in (1, 2) of x^n = x^(n-1) + 1: the onset base for plain
-    greedy (not necessarily unique) periodic expansions of period n."""
+    """Root in (1, 2) of x^n = x^(n-1) + 1, the base in which 1 0^(n-2) 1
+    expands 1: the onset base for plain greedy (not necessarily unique)
+    periodic expansions of period n."""
     if n < 2:
         raise PreconditionViolated("defined for n >= 2")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = -1
-    coeffs[n - 1] = -1
-    coeffs[n] = 1
-    beta = AlgebraicBeta(IntPolynomial(coeffs), 1, 2)
+    beta = solve_base(PeriodicSeq((1,) + (0,) * (n - 2) + (1,), (0,)))
     beta.refine(Fraction(eps))
     return beta

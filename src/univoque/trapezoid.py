@@ -2,11 +2,15 @@
 
 The trapezoidal map rises linearly, holds a flat plateau at height 1,
 then falls linearly.  Orbits are described by itineraries over {L, C, R}
-(left branch, plateau, right branch).  A blockwise encoding turns 0-1
-sequences into plateau-avoiding itineraries: a leading 0 becomes L, and
-each block 1^a 0^b becomes R L^(a-1) R L^(b-1).  The encoding preserves
-the position of every symbol, halves the period exactly on half-mirror
-squares, and is an order isomorphism onto the unimodal order.
+(left branch, plateau, right branch).  The encoding of 0-1 sequences as
+plateau-avoiding itineraries is the run-start rule: symbol i is R exactly
+when s_i differs from s_(i-1), with s_(-1) = 0, so every block 1^a 0^b
+becomes R L^(a-1) R L^(b-1).  Its inverse is the R-parity that the
+unimodal order already counts: s_i is the parity of the Rs at positions
+0..i.  The encoding preserves the position of every symbol, halves the
+period exactly on half-mirror squares (there the shifted sequence is the
+mirror, so the run starts repeat after half the period), and is an order
+isomorphism onto the unimodal order.
 
 Also here: symbolic-affine search for plateau-avoiding cycles (compose
 the affine branch formulas along a candidate word, solve the linear
@@ -32,7 +36,7 @@ from .errors import (
 )
 from .expansions import AlgebraicBeta, BetaValue, as_beta, expansion_value
 from .thresholds import threshold_beta
-from .words import EQUAL, GREATER, LESS, PeriodicSeq, _canonical
+from .words import EQUAL, GREATER, LESS, PeriodicSeq, _canonical, primitive_necklaces
 
 BOUNDARY_TOL = 1e-10
 
@@ -215,162 +219,35 @@ def itinerary(params, x: float, n: int) -> Itinerary:
 
 
 def encode_itinerary(s: PeriodicSeq) -> Itinerary:
-    """Blockwise image of a 0-1 sequence as a plateau-avoiding itinerary.
+    """Run-start image of a 0-1 sequence as a plateau-avoiding itinerary.
 
-    Rules: a leading 0 maps to L; a block 1^a 0^b followed by a 1 maps to
-    R L^(a-1) R L^(b-1); a final block 1^a 0^infinity maps to
-    R L^(a-1) R L^infinity; an all-ones tail maps to R L^infinity.
-    Symbol positions are preserved, so for input with preperiod p and
-    period q the image repeats with period q from the first block start
-    past position p, and canonicalization may halve that.
+    Symbol i is R exactly when s_i != s_(i-1), with s_(-1) = 0; a block
+    1^a 0^b thus maps to R L^(a-1) R L^(b-1).  For input with preperiod
+    p and period q the image repeats with period q from position p + 1,
+    and canonicalization may halve that.
     """
-    pre, per = s.preperiod.bits, s.period.bits
-    p, q = len(pre), len(per)
-    if per == (0,):
-        # finite digit support; canonical form makes pre end in 1 or be empty
-        if not pre:
-            return Itinerary((), ("L",))
-        out: list[str] = []
-        i = 0
-        while pre[i] == 0:
-            out.append("L")
-            i += 1
-        while i < p:
-            a = 0
-            while i < p and pre[i] == 1:
-                a += 1
-                i += 1
-            bcount = 0
-            while i < p and pre[i] == 0:
-                bcount += 1
-                i += 1
-            out.extend(["R"] + ["L"] * (a - 1))
-            if bcount:
-                out.extend(["R"] + ["L"] * (bcount - 1))
-        out.append("R")  # opens the all-zero tail block
-        return Itinerary(out, ("L",))
-    if per == (1,):
-        # all-ones tail; canonical form makes pre end in 0 or be empty
-        out = []
-        i = 0
-        while i < p and pre[i] == 0:
-            out.append("L")
-            i += 1
-        while i < p:
-            a = 0
-            while i < p and pre[i] == 1:
-                a += 1
-                i += 1
-            bcount = 0
-            while i < p and pre[i] == 0:
-                bcount += 1
-                i += 1
-            out.extend(["R"] + ["L"] * (a - 1) + ["R"] + ["L"] * (bcount - 1))
-        out.append("R")  # opens the all-ones tail
-        return Itinerary(out, ("L",))
-    # mixed period: block pairs eventually recur with the input period
-    need = p + 3 * q + 6
-    bits = s.prefix(need).bits
-    out = []
-    i = 0
-    while bits[i] == 0:
-        out.append("L")
-        i += 1
-    anchor = None
-    while True:
-        if anchor is None and i >= p + 1:
-            anchor = i
-        if anchor is not None and i >= anchor + q:
-            break
-        a = 0
-        while i < len(bits) and bits[i] == 1:
-            a += 1
-            i += 1
-        bcount = 0
-        while i < len(bits) and bits[i] == 0:
-            bcount += 1
-            i += 1
-        if i >= len(bits):
-            raise RuntimeError("internal: prefix expansion too short")
-        out.extend(["R"] + ["L"] * (a - 1) + ["R"] + ["L"] * (bcount - 1))
-    return Itinerary(out[:anchor], out[anchor:anchor + q])
+    p, q = len(s.preperiod), len(s.period)
+    bits = (0,) + s.prefix(p + q + 1).bits
+    syms = ["R" if a != b else "L" for a, b in zip(bits, bits[1:])]
+    return Itinerary(syms[:p + 1], syms[p + 1:])
 
 
 def decode_itinerary(it: Itinerary) -> PeriodicSeq:
-    """Left inverse of encode_itinerary on plateau-free itineraries.
-
-    Leading Ls decode to 0s; block pairs R L^x R L^y decode to
-    1^(x+1) 0^(y+1); a final unpaired R L^infinity decodes to an
-    all-ones tail, and a pair whose second block carries the infinite
-    Ls decodes to a finite block of ones before an all-zero tail.
+    """Inverse of encode_itinerary on plateau-free eventually periodic
+    itineraries: s_i is the parity of the Rs at positions 0..i.  With
+    preperiod p and period q the result repeats with period 2q from
+    position p (period q when the period holds an even number of Rs).
     """
     if not it.is_periodic:
         raise NotInImageError("finite itineraries do not determine a sequence")
     if "C" in it.preperiod or "C" in it.period:
         raise NotInImageError("plateau symbol C is outside the encoding's image")
-    pre, per = it.preperiod, it.period
-    p, q = len(pre), len(per)
-    if per == ("L",):
-        syms = list(pre)
-        out: list[int] = []
-        i = 0
-        while i < p and syms[i] == "L":
-            out.append(0)
-            i += 1
-        blocks: list[int] = []  # lengths of R L^x blocks, as x
-        while i < p:
-            assert syms[i] == "R"
-            i += 1
-            x = 0
-            while i < p and syms[i] == "L":
-                x += 1
-                i += 1
-            blocks.append(x)
-        if not blocks:
-            return PeriodicSeq(out, (0,))  # pure L^infinity: all zeros
-        # pair the blocks; the last one absorbs the infinite L tail
-        j = 0
-        while j + 1 < len(blocks):
-            out.extend([1] * (blocks[j] + 1) + [0] * (blocks[j + 1] + 1))
-            j += 2
-        if j < len(blocks):
-            # odd count: the trailing R L^infinity is an all-ones tail
-            out.extend([1] * (blocks[j] + 1))
-            return PeriodicSeq(out, (1,))
-        # even count: the final pair's zero run continues forever
-        return PeriodicSeq(out, (0,))
-    # infinitely many Rs: decode pairwise with position alignment
-    need = p + 6 * q + 8
-    syms = [it.at(i) for i in range(need)]
-    out = []
-    i = 0
-    while syms[i] == "L":
-        out.append(0)
-        i += 1
-    pair_starts: list[int] = []
-    while i < need:
-        pair_starts.append(i)  # syms[i] == "R" by block structure
-        i += 1
-        x = 0
-        while i < need and syms[i] == "L":
-            x += 1
-            i += 1
-        if i >= need:
-            break
-        i += 1  # second R of the pair
-        y = 0
-        while i < need and syms[i] == "L":
-            y += 1
-            i += 1
-        out.extend([1] * (x + 1) + [0] * (y + 1))
-    anchor = None
-    for ps in pair_starts:
-        if ps >= p + 1 and ps <= len(out):
-            if anchor is None:
-                anchor = ps
-            elif (ps - anchor) % q == 0:
-                return PeriodicSeq(out[:anchor], out[anchor:ps])
-    raise RuntimeError("internal: itinerary expansion too short")
+    bits, parity = [], 0
+    for sym in it.preperiod + it.period * 2:
+        parity ^= sym == "R"
+        bits.append(parity)
+    p = len(it.preperiod)
+    return PeriodicSeq(bits[:p], bits[p:])
 
 
 def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
@@ -410,8 +287,9 @@ def find_lr_cycles(params, n: int, tol: float = BOUNDARY_TOL) -> list[Itinerary]
     candidate word, solve the linear fixed-point equation, and accept
     only orbits that sit strictly inside their claimed branches.
 
-    One itinerary per cycle is returned, anchored at its largest
-    rotation.
+    The candidates are the primitive necklaces of length n (R for 1, L
+    for 0), so n is capped at NECKLACE_LIMIT.  One itinerary per cycle
+    is returned, anchored at its largest rotation.
     """
     params = as_params(params)
     if n < 1:
@@ -419,15 +297,9 @@ def find_lr_cycles(params, n: int, tol: float = BOUNDARY_TOL) -> list[Itinerary]
     b = float(params.beta)
     c = b / (b - 1.0)
     (l_lo, l_hi), (r_lo, r_hi) = _branch_intervals(params)
-    found: dict[tuple[str, ...], Itinerary] = {}
-    for mask in range(1 << n):
-        word = tuple("R" if (mask >> i) & 1 else "L" for i in range(n))
-        rots = [word[i:] + word[:i] for i in range(n)]
-        rep = max(rots)
-        if word != rep or rep in found:
-            continue
-        if n > 1 and any(word == word[k:] + word[:k] for k in range(1, n)):
-            continue  # not primitive
+    found = []
+    for neck in primitive_necklaces(n):
+        word = tuple("R" if bit else "L" for bit in neck.representative)
         amul, badd = 1.0, 0.0
         for sym in word:
             if sym == "L":
@@ -449,8 +321,8 @@ def find_lr_cycles(params, n: int, tol: float = BOUNDARY_TOL) -> list[Itinerary]
                     break
                 x = c - b * x
         if ok and abs(x - x0) < 1e-8:
-            found[rep] = Itinerary((), rep)
-    return [found[k] for k in sorted(found)]
+            found.append(word)
+    return [Itinerary((), word) for word in sorted(found)]
 
 
 def extension_map(beta, x: float) -> float:

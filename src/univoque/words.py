@@ -5,7 +5,9 @@ comparison of eventually periodic sequences, shifting, mirroring, the
 Thue-Morse sequence and its generating morphism, the doubling map that
 interleaves complement pairs, membership in the two-sided extremal set
 (sequences dominating every shift while their mirror is dominated by
-every shift), and detection of half-mirror squares u = v mirror(v).
+every shift), detection of half-mirror squares u = v mirror(v), and
+enumeration of primitive necklaces (rotation classes of aperiodic words)
+by Duval's algorithm.
 
 Sequences are stored in canonical form: the period word is primitive and
 the preperiod is as short as possible.  Equality, hashing and printing
@@ -16,10 +18,14 @@ periodic sequence is simply ``len(s.period)``.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, Optional, Union
 
+from .errors import PreconditionViolated, TooLargeError
+
 LESS, EQUAL, GREATER = -1, 0, 1
+NECKLACE_LIMIT = 24
 
 _BitsLike = Union["BinaryWord", str, Iterable[int]]
 
@@ -318,3 +324,41 @@ def split_halfmirror(u: _BitsLike) -> Optional[BinaryWord]:
     if bits[n // 2:] == tuple(1 - b for b in half):
         return BinaryWord(half)
     return None
+
+
+@dataclass(frozen=True)
+class Necklace:
+    """A rotation class of primitive binary words, anchored at the
+    lexicographically largest rotation."""
+
+    representative: BinaryWord
+    period: int
+
+
+def _lyndon_words(n: int):
+    """Duval's algorithm; yields the aperiodic words of length exactly n
+    that are minimal in their rotation class."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if m == n:
+            yield tuple(w)
+        while len(w) < n:
+            w.append(w[len(w) - m])
+        while w and w[-1] == 1:
+            w.pop()
+
+
+def primitive_necklaces(n: int) -> list[Necklace]:
+    """One representative per rotation class of primitive period-n words."""
+    if n < 1:
+        raise PreconditionViolated("period must be positive")
+    if n > NECKLACE_LIMIT:
+        raise TooLargeError(
+            f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
+    out = []
+    for w in _lyndon_words(n):
+        rep = max(w[i:] + w[:i] for i in range(n))
+        out.append(Necklace(BinaryWord(rep), n))
+    return out

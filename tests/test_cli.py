@@ -117,6 +117,19 @@ class TestVerification:
         assert code == 0
         assert len(out.splitlines()) == 4  # header plus three scan lines
 
+    def test_conjecture_scan_refuses_beyond_necklace_cap(self, capsys):
+        # 2^5 = 32 exceeds the cycle search's necklace cap: no rows at all
+        code, out, err = run(capsys, "conjecture-2n", "--n", "5", "--steps", "3")
+        assert code == 1
+        assert out == ""
+        assert "NECKLACE_LIMIT" in err
+
+    def test_lr_cycles_capped_at_necklace_limit(self, capsys):
+        code, out, err = run(capsys, "lr-cycles", "--beta", "float:1.8", "--n", "25")
+        assert code == 1
+        assert out == ""
+        assert "NECKLACE_LIMIT" in err
+
 
 class TestOrbits:
     def test_trapezoid_orbit(self, capsys):

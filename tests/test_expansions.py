@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from univoque.algebraic import IntPolynomial
+from univoque.algebraic import IntPolynomial, poly_str
 from univoque.errors import (
     MiddleGapError,
     NotParryError,
@@ -108,7 +108,7 @@ class TestExpansionOfOne:
         exp = d_of_beta(beta)
         assert exp.finiteness == ("infinite", (1, 2))
         assert exp.as_periodic_seq() == PeriodicSeq("1", "10")
-        # cross-check against the float solver for the same sequence
+        # cross-check against the exact solver for the same sequence
         approx = solve_base(PeriodicSeq("1", "10"))
         assert abs(float(approx) - float(beta)) < 1e-9
 
@@ -197,9 +197,10 @@ class TestSolveBase:
         assert isinstance(beta, AlgebraicBeta)
         assert abs(float(beta) - 1.6180339887) < 1e-9
 
-    def test_mixed_falls_back_to_float(self):
+    def test_mixed_is_algebraic(self):
         beta = solve_base(PeriodicSeq("1", "10"))
-        assert isinstance(beta, FloatBeta)
+        assert isinstance(beta, AlgebraicBeta)
+        assert poly_str(beta.poly) == "x^3-x^2-2x+1"
         assert abs(expansion_value(beta, PeriodicSeq("1", "10")) - 1.0) < 1e-9
 
     def test_solution_expands_one(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -140,6 +141,13 @@ class TestEncoding:
             s = random_seq(rng, 3, 8)
             image = encode_itinerary(s)
             assert encode_itinerary(decode_itinerary(image)) == image
+        # decoding is total: every plateau-free itinerary is an image
+        for p in range(5):
+            for q in range(1, 7):
+                for pre in itertools.product("LR", repeat=p):
+                    for per in itertools.product("LR", repeat=q):
+                        it = Itinerary(pre, per)
+                        assert encode_itinerary(decode_itinerary(it)) == it, it
 
     def test_period_transfer(self):
         rng = random.Random(SEED + 2)

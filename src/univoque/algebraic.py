@@ -91,22 +91,17 @@ class IntPolynomial:
         return hash(("IntPolynomial", self._coeffs))
 
     def divides(self, other: "IntPolynomial") -> bool:
-        """Exact divisibility over the rationals."""
+        """Exact divisibility over the rationals (by Gauss's lemma, that of
+        the primitive part of self over the integers)."""
         if self.is_zero:
             return other.is_zero
-        _, rem = _fdivmod([Fraction(c) for c in other._coeffs],
-                          [Fraction(c) for c in self._coeffs])
-        return all(r == 0 for r in rem)
+        return _exact_quotient(other._coeffs, _primitive(self._coeffs)) is not None
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        quo, rem = _fdivmod([Fraction(c) for c in self._coeffs],
-                            [Fraction(c) for c in other._coeffs])
-        if any(r != 0 for r in rem):
-            raise ValueError("not an exact division")
-        den = lcm(*[f.denominator for f in quo]) if quo else 1
-        if den != 1:
-            raise ValueError("quotient is not an integer polynomial")
-        return IntPolynomial(tuple(int(f) for f in quo))
+        quo = _exact_quotient(self._coeffs, other._coeffs)
+        if quo is None:
+            raise ValueError("not an exact division with integer quotient")
+        return IntPolynomial(quo)
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -135,29 +130,22 @@ def poly_str(p: IntPolynomial) -> str:
     return "".join(parts)
 
 
-def _fdivmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder over the rationals, constant term first."""
-    num = list(num)
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    dden = len(den) - 1
-    while dden > 0 and den[dden] == 0:
-        dden -= 1
-    if dden == 0 and den[0] == 0:
+def _exact_quotient(num: Sequence[int], den: Sequence[int]):
+    """Coefficients of num / den when den divides num in Z[x], otherwise
+    None (constant term first)."""
+    if den[-1] == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(num) - dden, 1)
-    rem = num
-    lead = den[dden]
-    while len(rem) - 1 >= dden and any(rem):
-        drem = len(rem) - 1
-        coef = rem[-1] / lead
-        quo[drem - dden] = coef
-        for i in range(dden + 1):
-            rem[drem - dden + i] -= coef * den[i]
-        rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return quo, rem
+    rem, dden = list(num), len(den) - 1
+    quo = [0] * max(len(rem) - dden, 1)
+    while len(rem) > dden:
+        coef, r = divmod(rem.pop(), den[-1])
+        if r:
+            return None
+        shift = len(rem) - dden
+        quo[shift] = coef
+        for i in range(dden):
+            rem[shift + i] -= coef * den[i]
+    return None if any(rem) else tuple(quo)
 
 
 def _content(coeffs: Sequence[int]) -> int:
@@ -214,14 +202,8 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p with repeated factors collapsed; same root set, all roots simple."""
     if p.degree <= 1:
         return IntPolynomial(_primitive(p.coeffs))
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return IntPolynomial(_primitive(p.coeffs))
-    quo, rem = _fdivmod([Fraction(c) for c in p.coeffs],
-                        [Fraction(c) for c in g.coeffs])
-    assert all(r == 0 for r in rem)
-    den = lcm(*[f.denominator for f in quo])
-    return IntPolynomial(_primitive(tuple(int(f * den) for f in quo)))
+    # the gcd is primitive, so by Gauss's lemma the quotient is integral
+    return IntPolynomial(_primitive(p.exact_div(poly_gcd(p, p.derivative())).coeffs))
 
 
 def _sign_variations(coeffs: Sequence[int]) -> int:
@@ -271,13 +253,12 @@ def _descartes_bound(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
 def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
     """Disjoint isolating intervals for all real roots of p in (lo, hi).
 
-    p is taken squarefree and must not vanish at the endpoints.  Each
-    returned pair (a, b) holds exactly one root; a == b marks an exact
-    rational root.
+    p must be squarefree (see squarefree_part) and must not vanish at
+    the endpoints.  Each returned pair (a, b) holds exactly one root;
+    a == b marks an exact rational root.
     """
-    sq = squarefree_part(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    if sq.sign_at(lo) == 0 or sq.sign_at(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ValueError("polynomial vanishes at an isolation endpoint")
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, 0)]
@@ -285,17 +266,16 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
         a, b, depth = stack.pop()
         if depth > _MAX_ISOLATE_DEPTH:
             raise RuntimeError("root isolation did not converge")
-        v = _descartes_bound(sq, a, b)
+        v = _descartes_bound(p, a, b)
         if v == 0:
             continue
         if v == 1:
             out.append((a, b))
             continue
         m = (a + b) / 2
-        if sq.sign_at(m) == 0:
+        if p.sign_at(m) == 0:
             out.append((m, m))
-            mp = IntPolynomial(_primitive((-m.numerator, m.denominator)))
-            sq = sq.exact_div(mp) if mp.divides(sq) else sq
+            p = p.exact_div(IntPolynomial((-m.numerator, m.denominator)))
             # after deflation the endpoints stay nonzero for the reduced poly
         stack.append((a, m, depth + 1))
         stack.append((m, b, depth + 1))
@@ -396,21 +376,9 @@ class CertifiedRoot:
                 other._bisect()
 
     def cmp_rational(self, x) -> int:
-        """Sign of (root - x) for rational x, decided exactly."""
+        """Sign of (root - x) for rational x = p/q: the sign of qX - p at the root."""
         x = Fraction(x)
-        if self._lo == self._hi:
-            return (self._lo > x) - (self._lo < x)
-        if self._lo < x < self._hi and self._sq.sign_at(x) == 0:
-            # a root of the polynomial strictly inside the isolating
-            # interval can only be the certified root itself
-            return 0
-        while self._lo < x < self._hi:
-            self._bisect()
-            if self._lo == self._hi:
-                return (self._lo > x) - (self._lo < x)
-        # interval endpoints are never the root, so the root stays on
-        # one strict side of x
-        return 1 if x <= self._lo else -1
+        return self.sign_at_root(IntPolynomial((-x.numerator, x.denominator)))
 
     def __float__(self) -> float:
         if self._float is None:

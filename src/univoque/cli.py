@@ -305,22 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
                                  "trapezoidal map dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=()):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", *formats), default="text")
         return p
 
-    p = add("table", cmd_table, "threshold table for periods 2..N")
+    p = add("table", cmd_table, "threshold table for periods 2..N", ("csv", "json"))
     p.add_argument("n_max", type=int)
     p.add_argument("--eps", type=float, default=_default_eps())
 
-    p = add("beta-n", cmd_beta_n, "certified threshold for period k")
+    p = add("beta-n", cmd_beta_n, "certified threshold for period k", ("json",))
     p.add_argument("k", type=int)
     p.add_argument("--eps", type=float, default=_default_eps())
 
-    p = add("a-k", cmd_a_k, "least extremal sequence of period k")
+    p = add("a-k", cmd_a_k, "least extremal sequence of period k", ("json",))
     p.add_argument("k", type=int)
     p.add_argument("--method", choices=("recursive", "explicit", "both"),
                    default="both")
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
 
     p = add("verify-order", cmd_verify_order,
-            "pairwise threshold order vs Sharkovskii order")
+            "pairwise threshold order vs Sharkovskii order", ("json",))
     p.add_argument("n_max", type=int)
 
     p = add("orbit", cmd_orbit, "orbit of x under the gap map F or the trapezoid T")
@@ -346,18 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--map", choices=("F", "T"), default="T")
 
-    p = add("lr-cycles", cmd_lr_cycles, "plateau-avoiding cycles of length n")
+    p = add("lr-cycles", cmd_lr_cycles, "plateau-avoiding cycles of length n",
+            ("json",))
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = add("extension3", cmd_extension3,
-            "3-periodic point of the continuous extension")
+            "3-periodic point of the continuous extension", ("json",))
     p.add_argument("--beta", required=True)
 
-    p = add("kl", cmd_kl, "Komornik-Loreti constant")
+    p = add("kl", cmd_kl, "Komornik-Loreti constant", ("json",))
     p.add_argument("--eps", type=float, default=1e-5)
 
-    p = add("q-n", cmd_q_n, "plain greedy period threshold root")
+    p = add("q-n", cmd_q_n, "plain greedy period threshold root", ("json",))
     p.add_argument("n", type=int)
     p.add_argument("--eps", type=float, default=_default_eps())
 

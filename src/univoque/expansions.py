@@ -205,23 +205,19 @@ class _AlgebraicOrbit:
             den = den * f.denominator // math.gcd(den, f.denominator)
         return IntPolynomial(tuple(int(f * den) for f in coeffs))
 
-    def value_is_zero(self) -> bool:
-        if all(f == 0 for f in self.coeffs):
-            return True
-        return self.beta.sign_at_root(self._as_int_poly(self.coeffs)) == 0
-
     def step(self) -> int:
+        """Next digit.  The value reaches 0 exactly when b*t - 1 vanishes
+        at the base (a reducible polynomial can leave a nonzero remainder
+        there); the state is then (0,)."""
         u = self._reduce([Fraction(0), *self.coeffs])
         shifted = list(u)
         shifted[0] -= 1
         s = self.beta.sign_at_root(self._as_int_poly(shifted))
-        digit = 1 if s >= 0 else 0
-        if digit:
-            u = list(u)
-            u[0] -= 1
-            u = tuple(u)
-        self.coeffs = u
-        return digit
+        if s < 0:
+            self.coeffs = u
+            return 0
+        self.coeffs = (Fraction(0),) if s == 0 else tuple(shifted)
+        return 1
 
 
 class GreedyExpansion:
@@ -262,9 +258,8 @@ class GreedyExpansion:
                 self._digits.append(d)
                 if self._seen is not None:
                     state = self._orbit.coeffs
-                    if self._orbit.value_is_zero():
+                    if state == (0,):
                         self._finite_at = len(self._digits)
-                        self._orbit.coeffs = (Fraction(0),)
                     else:
                         k = self._seen.get(state)
                         if k is None:

@@ -98,8 +98,7 @@ def _candidate_unique(beta_value: float, s: PeriodicSeq, budget: int) -> bool:
         raise
 
 
-def min_beta_for_period(n: int, eps: float = 1e-6,
-                        spot_check: bool = True) -> FloatBeta:
+def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
     """Infimum of bases admitting a unique expansion of primitive period
     n, recovered by bisection over the base without using the extremal
     sequence construction.
@@ -137,24 +136,16 @@ def min_beta_for_period(n: int, eps: float = 1e-6,
         raise UndecidedError(
             f"membership near {bv} undecided even after perturbation", budget)
 
-    if spot_check:
-        samples = []
-        for i in range(8):
-            bv = 1.05 + 0.9 * i / 7
-            try:
-                samples.append(predicate_robust(bv))
-            except UndecidedError:
-                samples.append(None)
-        seen_true = False
-        for val in samples:
-            if val is None:
-                continue
-            if val:
-                seen_true = True
-            elif seen_true:
-                warnings.warn(f"membership predicate for period {n} is not "
-                              f"monotone on the sample grid: {samples}")
-                break
+    samples = []
+    for i in range(8):
+        try:
+            samples.append(predicate_robust(1.05 + 0.9 * i / 7))
+        except UndecidedError:
+            samples.append(None)
+    decided = [val for val in samples if val is not None]
+    if decided != sorted(decided):
+        warnings.warn(f"membership predicate for period {n} is not "
+                      f"monotone on the sample grid: {samples}")
 
     lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
     if not predicate_robust(hi):

@@ -351,14 +351,14 @@ def _lyndon_words(n: int):
 
 
 def primitive_necklaces(n: int) -> list[Necklace]:
-    """One representative per rotation class of primitive period-n words."""
+    """The largest rotation of each primitive period-n word class, in
+    ascending order: complementing reverses the order, so these are
+    Duval's ascending Lyndon words complemented, in reverse."""
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > NECKLACE_LIMIT:
         raise TooLargeError(
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
-    out = []
-    for w in _lyndon_words(n):
-        rep = max(w[i:] + w[:i] for i in range(n))
-        out.append(Necklace(BinaryWord(rep), n))
+    out = [Necklace(BinaryWord(tuple(1 - b for b in w)), n) for w in _lyndon_words(n)]
+    out.reverse()
     return out

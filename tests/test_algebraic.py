@@ -56,6 +56,10 @@ class TestIntPolynomial:
             assert a.divides(prod) and b.divides(prod)
             assert prod.exact_div(a) == b
         assert not IntPolynomial([1, 1]).divides(IntPolynomial([-1, -1, 1]))
+        # 2x + 2 divides x + 1 over the rationals, not over the integers
+        assert IntPolynomial([2, 2]).divides(IntPolynomial([1, 1]))
+        with pytest.raises(ValueError):
+            IntPolynomial([1, 1]).exact_div(IntPolynomial([2, 2]))
 
     def test_str(self):
         assert poly_str(IntPolynomial([-1, -1, 1])) == "x^2-x-1"
@@ -170,6 +174,14 @@ class TestCertifiedRoot:
         assert golden.cmp_rational(Fraction(17, 10)) == -1
         half = CertifiedRoot(IntPolynomial([-3, 2]), 1, 2)
         assert half.cmp_rational(Fraction(3, 2)) == 0
+
+    def test_repeated_factors_isolate_the_simple_root(self):
+        golden_poly = IntPolynomial([-1, -1, 1])
+        r = CertifiedRoot(golden_poly * golden_poly * IntPolynomial([7, 1]), 1, 2)
+        assert r.compare(CertifiedRoot(golden_poly, 1, 2)) == 0
+        assert r.cmp_rational(Fraction(8, 5)) == 1
+        assert r.cmp_rational(1) == 1
+        assert r.cmp_rational(2) == -1
 
     def test_close_roots_separate(self):
         # roots of (10x - 16) and (100x - 161) are 0.0006 apart

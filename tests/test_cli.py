@@ -166,6 +166,16 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["beta-n", "2", "--format", "csv"],
+        ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--format", "json"],
+    ])
+    def test_format_offered_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--format" in capsys.readouterr().err
+
 
 def test_env_var_overrides_default_eps(capsys, monkeypatch):
     monkeypatch.setenv("UNIVOQUE_EPS", "1e-4")

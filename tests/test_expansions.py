@@ -96,6 +96,10 @@ class TestExpansionOfOne:
         exp4 = d_of_beta(BetaValue.parse(B4))
         assert exp4.finiteness == ("finite", 4)
         assert str(exp4.prefix(4)) == "1101"
+        # (x^2 - x - 1)(x^2 + x + 1): the orbit of 1 ends at x^2 - x - 1,
+        # a nonzero remainder of degree 2 that vanishes at the golden ratio
+        reducible = IntPolynomial([-1, -1, 1]) * IntPolynomial([1, 1, 1])
+        assert d_of_beta(AlgebraicBeta(reducible, 1, 2)).finiteness == ("finite", 2)
 
     def test_float_budget_unknown(self):
         exp = d_of_beta(FloatBeta(1.9), budget=64)

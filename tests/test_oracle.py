@@ -50,11 +50,14 @@ class TestNecklaces:
 
     def test_representative_is_max_rotation_and_primitive(self):
         for n in (5, 8, 10):
+            reps = []
             for neck in primitive_necklaces(n):
                 bits = neck.representative.bits
                 rots = {bits[i:] + bits[:i] for i in range(n)}
                 assert len(rots) == n  # primitive
                 assert bits == max(rots)
+                reps.append(bits)
+            assert all(a < b for a, b in zip(reps, reps[1:]))
 
     def test_guard(self):
         with pytest.raises(TooLargeError):

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -67,8 +68,16 @@ _DOMAIN_ERRORS = (
 )
 
 
-def _default_eps() -> float:
-    return float(os.environ.get("UNIVOQUE_EPS", "1e-8"))
+def _eps(text: str) -> float:
+    """argparse type of every --eps: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"eps must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _emit_rows(args, rows: list[dict], out) -> None:
@@ -304,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "thresholds, extremal sequences, and "
                                  "trapezoidal map dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default is converted, and checked, only by the subcommand run
+    default_eps = os.environ.get("UNIVOQUE_EPS", "1e-8")
 
     def add(name, func, help_text, formats=()):
         p = sub.add_parser(name, help=help_text)
@@ -314,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("table", cmd_table, "threshold table for periods 2..N", ("csv", "json"))
     p.add_argument("n_max", type=int)
-    p.add_argument("--eps", type=float, default=_default_eps())
+    p.add_argument("--eps", type=_eps, default=default_eps)
 
     p = add("beta-n", cmd_beta_n, "certified threshold for period k", ("json",))
     p.add_argument("k", type=int)
-    p.add_argument("--eps", type=float, default=_default_eps())
+    p.add_argument("--eps", type=_eps, default=default_eps)
 
     p = add("a-k", cmd_a_k, "least extremal sequence of period k", ("json",))
     p.add_argument("k", type=int)
@@ -356,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
 
     p = add("kl", cmd_kl, "Komornik-Loreti constant", ("json",))
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=_eps, default=1e-5)
 
     p = add("q-n", cmd_q_n, "plain greedy period threshold root", ("json",))
     p.add_argument("n", type=int)
-    p.add_argument("--eps", type=float, default=_default_eps())
+    p.add_argument("--eps", type=_eps, default=default_eps)
 
     p = add("conjecture-2n", cmd_conjecture_2n,
             "experiment: scan for the first 2^n cycle near its threshold")

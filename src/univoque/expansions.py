@@ -149,7 +149,7 @@ class _FloatOrbit:
     The base is taken as the exact real equal to the float; roundoff
     grows by a factor b per step.  A digit whose branch decision falls
     inside the tolerance or inside the accumulated roundoff band raises
-    rather than guesses.
+    rather than guesses, and leaves the state as it was.
     """
 
     __slots__ = ("b", "tol", "t", "err")
@@ -162,14 +162,14 @@ class _FloatOrbit:
 
     def step(self) -> int:
         v = self.b * self.t
-        self.err = self.err * self.b + 1e-15 * max(1.0, v)
-        band = max(self.tol, self.err)
+        err = self.err * self.b + 1e-15 * max(1.0, v)
+        band = max(self.tol, err)
         if abs(v - 1.0) <= band:
             raise UndecidableDigitError(
                 f"orbit point {v/self.b!r} within {band:.3g} of branch point 1/b; "
                 "use an algebraic base for an exact decision")
         digit = 1 if v > 1.0 else 0
-        self.t = v - digit
+        self.t, self.err = v - digit, err
         return digit
 
 
@@ -448,6 +448,9 @@ def is_unique_expansion(beta, s: PeriodicSeq,
     beta = as_beta(beta)
     if not s.is_purely_periodic:
         raise PreconditionViolated("sequence must be purely periodic")
+    if digit_budget is not None and digit_budget < 1:
+        raise PreconditionViolated(
+            f"digit budget must be at least 1, got {digit_budget}")
     q = len(s.period)
     budget = digit_budget or 4 * q + 64
     exp = d_of_beta(beta)

@@ -4,15 +4,15 @@ Everything here deliberately avoids the closed-form constructions it is
 meant to check: periods are searched by exhausting primitive necklaces,
 thresholds are recovered by bisecting a membership predicate over the
 base, and the ordering of thresholds is verified pairwise on certified
-intervals.  Agreement between this module and the direct constructions
-is the package's main correctness evidence.
+intervals, with no base perturbed and no fallback to a construction.
+Agreement between this module and the direct constructions is the
+package's main correctness evidence.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
@@ -58,12 +58,6 @@ def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
     return best
 
 
-def _is_strict_max_rotation(a: PeriodicSeq) -> bool:
-    q = len(a.period)
-    return a.is_purely_periodic and all(
-        lex_cmp(shift(a, j), a) == LESS for j in range(1, q))
-
-
 def exists_period_n_unique(beta, n: int,
                            digit_budget: Optional[int] = None) -> bool:
     """Whether some purely periodic sequence of primitive period n is a
@@ -82,64 +76,37 @@ def exists_period_n_unique(beta, n: int,
     return False
 
 
-def _candidate_unique(beta_value: float, s: PeriodicSeq, budget: int) -> bool:
-    """Membership of one candidate, with an exact fallback: when the
-    float comparison stalls at a threshold, solve for the base at which
-    the candidate's extremal rotation becomes the quasi-greedy expansion
-    and compare exactly."""
-    try:
-        return is_unique_expansion(FloatBeta(beta_value), s, budget)
-    except (UndecidedError, UndecidableDigitError):
-        a = extremal_rotation(s)
-        bits = a.period.bits
-        if _is_strict_max_rotation(a) and 0 in bits and 1 in bits:
-            thr = solve_base(a)
-            return thr.root.cmp_rational(Fraction(beta_value)) < 0
-        raise
-
-
 def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
     """Infimum of bases admitting a unique expansion of primitive period
     n, recovered by bisection over the base without using the extremal
     sequence construction.
 
-    The predicate is monotone because the bases admitting period n form
-    an upward-closed interval; a spot check still samples it at 8 points
-    and warns on any anomaly rather than trusting silently.
+    All candidates share one float base per point, which is never
+    perturbed: an undecided point raises UndecidedError.  eps >= 2^-50
+    keeps every midpoint strictly inside its bracket.  The predicate is
+    monotone because the bases admitting period n form an upward-closed
+    interval; a spot check still samples it at 8 points and warns on any
+    anomaly rather than trusting silently.
     """
     if n < 2:
         raise PreconditionViolated("periods start at 2")
     if n > 16:
         raise TooLargeError("bisection oracle capped at n = 16")
-    cands = [PeriodicSeq((), neck.representative.bits)
-             for neck in primitive_necklaces(n)]
+    if not eps >= 2.0 ** -50:
+        raise PreconditionViolated(f"eps must be at least 2^-50, got {eps}")
     budget = 4 * n + 96
 
     def predicate(bv: float) -> bool:
-        undecided = None
-        for s in cands:
-            try:
-                if _candidate_unique(bv, s, budget):
-                    return True
-            except (UndecidedError, UndecidableDigitError) as exc:
-                undecided = exc
-        if undecided is not None:
-            raise undecided
-        return False
-
-    def predicate_robust(bv: float) -> bool:
-        for nudge in (0.0, 1e-9, -1e-9, 3e-9):
-            try:
-                return predicate(bv + nudge)
-            except (UndecidedError, UndecidableDigitError):
-                continue
-        raise UndecidedError(
-            f"membership near {bv} undecided even after perturbation", budget)
+        try:
+            return exists_period_n_unique(FloatBeta(bv), n, budget)
+        except UndecidableDigitError as exc:
+            raise UndecidedError(
+                f"membership at base {bv!r} undecided: {exc}", budget) from exc
 
     samples = []
     for i in range(8):
         try:
-            samples.append(predicate_robust(1.05 + 0.9 * i / 7))
+            samples.append(predicate(1.05 + 0.9 * i / 7))
         except UndecidedError:
             samples.append(None)
     decided = [val for val in samples if val is not None]
@@ -148,15 +115,15 @@ def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
                       f"monotone on the sample grid: {samples}")
 
     lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
-    if not predicate_robust(hi):
+    if not predicate(hi):
         raise RuntimeError(f"period {n} not admitted just below 2")
     while hi - lo >= eps:
         mid = 0.5 * (lo + hi)
-        if predicate_robust(mid):
+        if predicate(mid):
             hi = mid
         else:
             lo = mid
-    return FloatBeta(0.5 * (lo + hi), tolerance=max(0.5 * (hi - lo), 1e-15))
+    return FloatBeta(0.5 * (lo + hi), tolerance=0.5 * (hi - lo))
 
 
 def verify_ordering(n_max: int) -> dict:

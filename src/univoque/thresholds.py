@@ -8,7 +8,8 @@ independent ways: by iterating the doubling map, and in closed form from
 Thue-Morse fragments.  The thresholds are certified polynomial roots and
 their order matches the Sharkovskii order on periods; the accumulation
 point of the power-of-two thresholds is the Komornik-Loreti constant,
-computed here by certified bisection with a rigorous series tail bound.
+computed here by certified bisection with a rigorous series tail bound
+and compared with each threshold exactly, on words.
 """
 
 from __future__ import annotations
@@ -170,13 +171,6 @@ MINIMAL_POLYS: dict[int, IntPolynomial] = {
 
 _KL_LOCK = threading.Lock()
 _KL_STATE: list[Fraction] = [Fraction(3, 2), Fraction(2)]
-_KL_TM_CACHE: list[tuple[int, ...]] = [()]
-
-
-def _kl_terms(n: int) -> tuple[int, ...]:
-    if len(_KL_TM_CACHE[0]) < n + 1:
-        _KL_TM_CACHE[0] = thue_morse(max(2 * n, 64)).bits
-    return _KL_TM_CACHE[0]
 
 
 def _kl_sign(x: Fraction) -> int:
@@ -188,7 +182,7 @@ def _kl_sign(x: Fraction) -> int:
     """
     n = 64
     while True:
-        tm = _kl_terms(n)
+        tm = thue_morse(n + 1).bits
         acc = Fraction(0)
         for k in range(n, 0, -1):
             acc = (acc + tm[k]) / x
@@ -228,23 +222,18 @@ def komornik_loreti(eps: float = 1e-5) -> FloatBeta:
 
 
 def below_komornik_loreti(k: int) -> bool:
-    """Whether the k-th threshold lies below the Komornik-Loreti constant,
-    decided by refining both certified intervals until disjoint."""
-    beta = threshold_beta(k, 1e-6)
-    eps = Fraction(1, 10 ** 6)
-    floor = Fraction(1, 10 ** 80)
-    while True:
-        beta.refine(eps)
-        klo, khi = kl_bracket(eps)
-        blo, bhi = beta.interval
-        if bhi < klo:
-            return True
-        if khi < blo:
-            return False
-        if eps < floor:
-            raise RuntimeError(f"threshold {k} numerically indistinguishable "
-                               "from the Komornik-Loreti constant")
-        eps = eps ** 2
+    """Whether the k-th threshold lies below the Komornik-Loreti constant.
+
+    Quasi-greedy expansions of 1 increase strictly with the base (de
+    Vries-Komornik 2009): at the k-th threshold it is the least extremal
+    sequence of period k, at the constant the shifted Thue-Morse sequence
+    t_1 t_2 t_3 ... (Komornik-Loreti 1998).  Their first difference
+    decides; it comes within 2k + 1 symbols, as a factor of that length
+    with period k is an overlap and Thue-Morse has none (Thue 1912).
+    """
+    if k < 2:
+        raise PreconditionViolated("thresholds start at k = 2")
+    return min_extremal_recursive(k).period.bits * 3 < thue_morse(3 * k + 1).bits[1:]
 
 
 def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:

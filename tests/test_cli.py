@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -175,6 +176,39 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 1
         assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, argv", [
+    (None, ["beta-n", "5", "--eps", "inf"]),
+    (None, ["table", "3", "--eps", "inf"]),
+    (None, ["q-n", "3", "--eps", "inf"]),
+    (None, ["kl", "--eps", "inf"]),
+    (None, ["beta-n", "5", "--eps", "0"]),
+    (None, ["kl", "--eps", "nan"]),
+    ("abc", ["beta-n", "5"]),
+    (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "0"]),
+    (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "-5"]),
+])
+def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("UNIVOQUE_EPS", raising=False)
+    else:
+        monkeypatch.setenv("UNIVOQUE_EPS", env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejections
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    # argparse prefixes its messages with the program and subcommand name
+    assert re.match(r"(univoque [\w-]+: )?(error|undecided):", err), err
+    assert "Traceback" not in err
+
+
+def test_env_eps_is_read_only_by_commands_that_take_eps(capsys, monkeypatch):
+    monkeypatch.setenv("UNIVOQUE_EPS", "abc")
+    code, out, _ = run(capsys, "a-k", "5", "--method", "recursive")
+    assert code == 0 and out.strip() == "(11010)^w"
 
 
 def test_env_var_overrides_default_eps(capsys, monkeypatch):

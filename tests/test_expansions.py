@@ -152,6 +152,18 @@ class TestExpansionOfOne:
         with pytest.raises(UndecidableDigitError):
             exp.prefix(120)
 
+    def test_failed_float_digit_leaves_the_orbit_unchanged(self):
+        # a digit that cannot be decided raises again with the same band,
+        # rather than widening it by a factor b on every retry
+        exp = d_of_beta(FloatBeta(1.87))
+        exp.finiteness
+        messages = []
+        for _ in range(2):
+            with pytest.raises(UndecidableDigitError) as err:
+                exp.digit(200)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 class TestQuasiGreedy:
     def test_examples(self):
@@ -279,6 +291,11 @@ class TestUniqueness:
     def test_requires_purely_periodic(self):
         with pytest.raises(PreconditionViolated):
             is_unique_expansion(FloatBeta(1.9), PeriodicSeq("1", "10"))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(PreconditionViolated):
+            is_unique_expansion(FloatBeta(1.9), PeriodicSeq.parse("(01)^w"), budget)
 
     def test_undecided_at_threshold_float(self):
         golden_float = FloatBeta(1.6180339887498949)

@@ -1,9 +1,11 @@
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from univoque.errors import PreconditionViolated, TooLargeError
+from univoque.errors import PreconditionViolated, TooLargeError, UndecidedError
 from univoque.expansions import FloatBeta, is_unique_expansion
 from univoque.oracle import (
     Necklace,
@@ -102,6 +104,26 @@ class TestMinBeta:
             min_beta_for_period(1)
         with pytest.raises(TooLargeError):
             min_beta_for_period(17)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-17, math.nan])
+    def test_rejects_eps_too_fine_for_float_midpoints(self, eps):
+        with pytest.raises(PreconditionViolated):
+            min_beta_for_period(2, eps)
+
+    def test_bracket_contains_the_certified_threshold(self):
+        for n in range(2, 13):
+            mb = min_beta_for_period(n, 1e-9)
+            value, tol = Fraction(mb.value), Fraction(mb.tolerance)
+            root = threshold_beta(n, 1e-12).root
+            assert root.cmp_rational(value - tol) > 0, n
+            assert root.cmp_rational(value + tol) < 0, n
+
+    @pytest.mark.parametrize("n, eps", [(2, 2.0 ** -50), (12, 1e-11)])
+    def test_undecided_point_raises_without_perturbing(self, n, eps):
+        # float bases this close to the threshold cannot be decided within
+        # the roundoff band; the oracle says so instead of nudging the base
+        with pytest.raises(UndecidedError):
+            min_beta_for_period(n, eps)
 
 
 class TestExtremalReduction:

@@ -186,6 +186,21 @@ class TestKomornikLoreti:
         for n, flag in TABLE_BELOW_KL.items():
             assert below_komornik_loreti(n) == flag, n
 
+    def test_word_criterion_matches_series_bracket(self):
+        klo, khi = kl_bracket(Fraction(1, 10 ** 12))
+        for k in range(2, 25):
+            blo, bhi = threshold_beta(k, 1e-12).interval
+            assert bhi < klo or khi < blo, k
+            assert below_komornik_loreti(k) == (bhi < klo), k
+
+    def test_large_periods_below_exactly_at_powers_of_two(self):
+        for k in (256, 512, 768, 1000, 1024):
+            assert below_komornik_loreti(k) == (k & (k - 1) == 0), k
+
+    def test_below_requires_k_at_least_2(self):
+        with pytest.raises(PreconditionViolated):
+            below_komornik_loreti(1)
+
     def test_kl_sits_between_6_and_8(self):
         lo, hi = kl_bracket(Fraction(1, 10 ** 7))
         b6 = threshold_beta(6, 1e-8)

@@ -80,6 +80,14 @@ def _eps(text: str) -> float:
     return value
 
 
+def _point(text: str, exact: bool) -> Fraction | float:
+    """The --x value: a Fraction when exact, else a float."""
+    try:
+        return Fraction(text) if exact else float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"x must be a finite number, got {text!r}") from None
+
+
 def _emit_rows(args, rows: list[dict], out) -> None:
     if args.format == "json":
         out.write(json.dumps(rows, indent=2) + "\n")
@@ -159,7 +167,7 @@ def cmd_a_k(args, out) -> int:
 
 def cmd_expand(args, out) -> int:
     beta = as_beta(args.beta)
-    x = Fraction(args.x) if isinstance(beta, AlgebraicBeta) else float(Fraction(args.x))
+    x = _point(args.x, isinstance(beta, AlgebraicBeta))
     word = greedy_digits(beta, x, args.digits)
     out.write(str(word) + "\n")
     return 0
@@ -185,8 +193,10 @@ def cmd_verify_order(args, out) -> int:
 
 
 def cmd_orbit(args, out) -> int:
+    if args.steps < 0:
+        raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
     beta = as_beta(args.beta)
-    x = float(Fraction(args.x))
+    x = _point(args.x, False)
     if args.map == "F":
         for _ in range(args.steps):
             out.write(f"{x!r}\n")
@@ -266,6 +276,8 @@ def cmd_conjecture_2n(args, out) -> int:
     """Experiment only, no pass/fail semantics: scan bases near the
     2^n threshold and report which 2^n cycles exist, plateau-avoiding
     or through the plateau."""
+    if args.steps < 0:
+        raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
     length = 1 << args.n
     if length > NECKLACE_LIMIT:
         raise TooLargeError(f"cycle length 2^{args.n} = {length} exceeds "

@@ -31,15 +31,7 @@ from .errors import (
     UndecidableDigitError,
     UndecidedError,
 )
-from .words import (
-    GREATER,
-    LESS,
-    BinaryWord,
-    PeriodicSeq,
-    lex_cmp,
-    mirror,
-    shift,
-)
+from .words import BinaryWord, PeriodicSeq
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_DIGIT_BUDGET = 256
@@ -71,9 +63,11 @@ class BetaValue:
         m = re.fullmatch(r"poly:\[([^\]]*)\]@\(([^,]+),([^)]+)\)", text)
         if m:
             coeffs = [int(c) for c in m.group(1).split(",")]
-            return AlgebraicBeta(IntPolynomial(coeffs),
-                                 Fraction(m.group(2).strip()),
-                                 Fraction(m.group(3).strip()))
+            try:
+                lo, hi = Fraction(m.group(2).strip()), Fraction(m.group(3).strip())
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in base: {text!r}") from None
+            return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
         raise ValueError(f"cannot parse base: {text!r}")
 
 
@@ -276,14 +270,20 @@ class GreedyExpansion:
         self._extend_to(n)
         return BinaryWord(self._digits[:n])
 
+    def _certified_prefix(self, n: int) -> tuple[int, ...]:
+        """Up to n digits, ending before the first undecidable one."""
+        with self._lock:
+            try:
+                self._extend_to(n)
+            except UndecidableDigitError:
+                pass
+            return tuple(self._digits[:n])
+
     @property
     def finiteness(self):
         with self._lock:
             if self._finite_at is None and self._cycle is None:
-                try:
-                    self._extend_to(self.budget)
-                except UndecidableDigitError:
-                    pass
+                self._certified_prefix(self.budget)
             if self._finite_at is not None:
                 return ("finite", self._finite_at)
             if self._cycle is not None:
@@ -412,25 +412,17 @@ def is_parry_admissible(s: PeriodicSeq) -> bool:
     """Whether every proper shift of s is lexicographically below s.
 
     These are exactly the digit sequences arising as greedy expansions
-    of 1.  Shifts repeat after preperiod + period steps, so the check is
-    finite and exact.
+    of 1.  Shifts repeat after n = preperiod + period steps, and windows
+    of length n of one prefix decide each comparison (see is_extremal).
     """
-    bound = len(s.preperiod) + len(s.period)
-    return all(lex_cmp(shift(s, j), s) == LESS for j in range(1, bound + 1))
+    n = len(s.preperiod) + len(s.period)
+    head = s._head(2 * n)
+    return all(head[j:j + n] < head[:n] for j in range(1, n + 1))
 
 
-def _cmp_seq_vs_digits(t: PeriodicSeq, exp: GreedyExpansion, budget: int,
-                       mirrored: bool = False) -> int:
-    for i in range(budget):
-        a = t.at(i)
-        b = exp.digit(i)
-        if mirrored:
-            b = 1 - b
-        if a != b:
-            return LESS if a < b else GREATER
-    raise UndecidedError(
-        f"no strict difference within {budget} digits; raise the budget "
-        "or use an algebraic base", budget)
+def _check_budget(digit_budget: Optional[int]) -> None:
+    if digit_budget is not None and digit_budget < 1:
+        raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
 
 
 def is_unique_expansion(beta, s: PeriodicSeq,
@@ -448,29 +440,27 @@ def is_unique_expansion(beta, s: PeriodicSeq,
     beta = as_beta(beta)
     if not s.is_purely_periodic:
         raise PreconditionViolated("sequence must be purely periodic")
-    if digit_budget is not None and digit_budget < 1:
-        raise PreconditionViolated(
-            f"digit budget must be at least 1, got {digit_budget}")
+    _check_budget(digit_budget)
     q = len(s.period)
     budget = digit_budget or 4 * q + 64
     exp = d_of_beta(beta)
-    kind = exp.finiteness
-    if kind[0] == "finite":
-        bound = quasi_greedy(beta)
-    else:
-        bound = exp.as_periodic_seq()
+    bound = quasi_greedy(beta) if exp.finiteness[0] == "finite" else exp.as_periodic_seq()
+    # each shift of s is a window of one prefix, compared with the bound on
+    # the Fine-Wilf length, or else with the digits certified within budget
     if bound is not None:
-        mb = mirror(bound)
-        for j in range(q):
-            t = shift(s, j)
-            if not (lex_cmp(mb, t) == LESS and lex_cmp(t, bound) == LESS):
-                return False
-        return True
-    for j in range(q):
-        t = shift(s, j)
-        if _cmp_seq_vs_digits(t, exp, budget) != LESS:
-            return False
-        if _cmp_seq_vs_digits(t, exp, budget, mirrored=True) != GREATER:
+        top = bound._head(len(bound.preperiod) + len(bound.period) + q)
+    else:
+        top = exp._certified_prefix(budget)
+    n, low = len(top), tuple(1 - d for d in top)
+    head = s._head(q + n)
+    for t in (head[j:j + n] for j in range(q)):
+        if bound is None and t in (top, low):
+            if n == budget:
+                raise UndecidedError(
+                    f"no strict difference within {budget} digits; raise the "
+                    "budget or use an algebraic base", budget)
+            exp.digit(n)  # digit n is undecidable: raises the orbit's error
+        if not low < t < top:
             return False
     return True
 
@@ -497,6 +487,7 @@ def in_attractor(beta, x, digit_budget: Optional[int] = None) -> bool:
     bare value is accepted when a periodic expansion can be recovered
     from its greedy digits."""
     beta = as_beta(beta)
+    _check_budget(digit_budget)
     b = float(beta)
     low = (2.0 - b) / (b - 1.0)
     if isinstance(x, PeriodicSeq):

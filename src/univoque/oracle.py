@@ -39,23 +39,19 @@ from .words import (  # noqa: F401  (NECKLACE_LIMIT, Necklace re-exported)
     Necklace,
     PeriodicSeq,
     lex_cmp,
-    mirror,
     primitive_necklaces,
     shift,
 )
 
 def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
-    """Largest sequence among all shifts of s and of its mirror."""
+    """Largest sequence among all shifts of s and of its mirror.  They all
+    have the period length q of s, so it is the largest length-q window
+    of the period word, or of its mirror, doubled."""
     if not s.is_purely_periodic:
         raise PreconditionViolated("defined for purely periodic sequences")
-    q = len(s.period)
-    best = None
-    for t in (s, mirror(s)):
-        for j in range(q):
-            cand = shift(t, j)
-            if best is None or lex_cmp(cand, best) == GREATER:
-                best = cand
-    return best
+    per, q = s.period, len(s.period)
+    best = max(w.bits[j:j + q] for w in (per * 2, per.mirror() * 2) for j in range(q))
+    return PeriodicSeq((), best)
 
 
 def exists_period_n_unique(beta, n: int,
@@ -170,6 +166,8 @@ def _random_periodic(rng: random.Random, max_period: int) -> PeriodicSeq:
 def lemma_report(seed: int = 0, cases: int = 200) -> dict:
     """Seeded random spot checks of the constructive lemmas; the full
     strength versions live in the test suite."""
+    if cases < 1:
+        raise PreconditionViolated(f"cases must be >= 1, got {cases}")
     rng = random.Random(seed)
     checks: dict[str, dict] = {}
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -255,10 +254,7 @@ def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
     branch: compare at the first difference with L < C < R, flipping the
     direction when the common prefix contains an odd number of Rs."""
     if a.is_periodic and b.is_periodic:
-        if a == b:
-            return EQUAL
-        bound = (len(a.preperiod) + len(b.preperiod)
-                 + lcm(len(a.period), len(b.period)))
+        bound = max(len(a.preperiod), len(b.preperiod)) + len(a.period) + len(b.period)
     else:
         bound = max(len(a.preperiod), len(b.preperiod)) + 1
     flips = 0
@@ -281,7 +277,7 @@ def _branch_intervals(params: TrapezoidParams):
     return (0.0, lo_c), (hi_c, params.domain_top())
 
 
-def find_lr_cycles(params, n: int, tol: float = BOUNDARY_TOL) -> list[Itinerary]:
+def find_lr_cycles(params, n: int) -> list[Itinerary]:
     """All primitive period-n cycles avoiding the plateau, found
     symbolically: compose the two affine branch formulas along each
     candidate word, solve the linear fixed-point equation, and accept
@@ -311,12 +307,12 @@ def find_lr_cycles(params, n: int, tol: float = BOUNDARY_TOL) -> list[Itinerary]
         ok = True
         for sym in word:
             if sym == "L":
-                if not (-1e-12 <= x < l_hi - tol):
+                if not (-1e-12 <= x < l_hi - BOUNDARY_TOL):
                     ok = False
                     break
                 x = b * x
             else:
-                if not (r_lo + tol < x <= r_hi + 1e-12):
+                if not (r_lo + BOUNDARY_TOL < x <= r_hi + 1e-12):
                     ok = False
                     break
                 x = c - b * x

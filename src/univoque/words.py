@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import PreconditionViolated, TooLargeError
@@ -163,13 +162,16 @@ class PeriodicSeq:
             return self._pre[i]
         return self._per[(i - p) % len(self._per)]
 
-    def prefix(self, n: int) -> BinaryWord:
+    def _head(self, n: int) -> tuple[int, ...]:
+        """The first n symbols as a plain tuple."""
         p, per = self._pre, self._per
         if n <= len(p):
-            return BinaryWord(p[:n])
-        rest = n - len(p)
-        reps, tail = divmod(rest, len(per))
-        return BinaryWord(p + per * reps + per[:tail])
+            return p[:n]
+        reps, tail = divmod(n - len(p), len(per))
+        return p + per * reps + per[:tail]
+
+    def prefix(self, n: int) -> BinaryWord:
+        return BinaryWord(self._head(n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PeriodicSeq):
@@ -191,23 +193,19 @@ class PeriodicSeq:
 def lex_cmp(a, b) -> int:
     """Exact lexicographic comparison; returns LESS, EQUAL or GREATER.
 
-    For two eventually periodic sequences a difference, if any, shows up
-    within len(pre_a) + len(pre_b) + lcm(|per_a|, |per_b|) positions, so
-    the scan below is exact, not a truncation heuristic.  Finite words
-    are compared positionwise and must have equal length.
+    Eventually periodic sequences are compared on their first
+    max(|pre_a|, |pre_b|) + |per_a| + |per_b| symbols, the Fine-Wilf
+    length: past both preperiods, tails that agree on |per_a| + |per_b|
+    symbols are equal (Fine and Wilf, 1965), so this is exact.  Finite
+    words are compared positionwise and must have equal length.
     """
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        if a == b:
-            return EQUAL
-        bound = len(a._pre) + len(b._pre) + lcm(len(a._per), len(b._per))
-        for i in range(bound):
-            x, y = a.at(i), b.at(i)
-            if x != y:
-                return LESS if x < y else GREATER
-        return EQUAL
-    wa, wb = _coerce_bits(a), _coerce_bits(b)
-    if len(wa) != len(wb):
-        raise ValueError("finite words must have equal length to compare")
+        n = max(len(a._pre), len(b._pre)) + len(a._per) + len(b._per)
+        wa, wb = a._head(n), b._head(n)
+    else:
+        wa, wb = _coerce_bits(a), _coerce_bits(b)
+        if len(wa) != len(wb):
+            raise ValueError("finite words must have equal length to compare")
     if wa == wb:
         return EQUAL
     return LESS if wa < wb else GREATER
@@ -291,27 +289,16 @@ def doubling_map(s: PeriodicSeq) -> PeriodicSeq:
 def is_extremal(s: PeriodicSeq) -> bool:
     """Whether mirror(s) <= shift^k(s) <= s holds for every k >= 0.
 
-    Shifts of an eventually periodic sequence repeat after the preperiod,
-    so checking k < len(pre) + len(per) is exhaustive.  Purely periodic
-    sequences get a fast path: all sequences involved share the period
-    length q, so each comparison is decided within q symbols.
+    With preperiod p and period q, shifts repeat from k = p on, so
+    k < n = p + q is exhaustive.  All these sequences have period q from
+    position p on, so n symbols, the Fine-Wilf length p + 2q - gcd(q, q),
+    decide each comparison: the check compares windows of one prefix.
     """
-    if not s._pre:
-        per = s._per
-        q = len(per)
-        ext = per + per
-        mir = tuple(1 - b for b in per)
-        for k in range(q):
-            rot = ext[k:k + q]
-            if rot > per or mir > rot:
-                return False
-        return True
-    m = mirror(s)
-    for k in range(len(s._pre) + len(s._per)):
-        t = shift(s, k)
-        if lex_cmp(m, t) > 0 or lex_cmp(t, s) > 0:
-            return False
-    return True
+    n = len(s._pre) + len(s._per)
+    head = s._head(2 * n)
+    top = head[:n]
+    low = tuple(1 - b for b in top)
+    return all(low <= head[k:k + n] <= top for k in range(n))
 
 
 def split_halfmirror(u: _BitsLike) -> Optional[BinaryWord]:

@@ -188,6 +188,10 @@ class TestExitCodes:
     ("abc", ["beta-n", "5"]),
     (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "0"]),
     (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "-5"]),
+    (None, ["expand", "--beta", "float:1.8", "--x", "1/0"]),
+    (None, ["orbit", "--beta", "float:1.8", "--x", "1/0"]),
+    (None, ["check-unique", "--beta", "poly:[-1,-1,1]@(1/0,2)", "--seq", "(01)^w"]),
+    (None, ["expand", "--beta", "float:1.8", "--x", "1e400"]),
 ])
 def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env, argv):
     if env is None:
@@ -203,6 +207,18 @@ def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env,
     # argparse prefixes its messages with the program and subcommand name
     assert re.match(r"(univoque [\w-]+: )?(error|undecided):", err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, condition", [
+    (["orbit", "--beta", "float:1.8", "--x", "0.3", "--steps", "-1"], "steps must be >= 0"),
+    (["conjecture-2n", "--steps", "-3"], "steps must be >= 0"),
+    (["verify-lemmas", "--cases", "0"], "cases must be >= 1"),
+    (["verify-lemmas", "--cases", "-1"], "cases must be >= 1"),
+])
+def test_counts_that_mean_nothing_are_rejected(capsys, argv, condition):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and condition in err
 
 
 def test_env_eps_is_read_only_by_commands_that_take_eps(capsys, monkeypatch):

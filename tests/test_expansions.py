@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,8 +28,9 @@ from univoque.expansions import (
     shift_map,
     solve_base,
 )
-from univoque.words import LESS, BinaryWord, PeriodicSeq, lex_cmp, mirror, shift
-from util import SEED, admissible_words, random_purely_periodic
+from univoque.thresholds import threshold_beta
+from univoque.words import GREATER, LESS, BinaryWord, PeriodicSeq, lex_cmp, mirror, shift
+from util import SEED, admissible_words, lcm_bound_cmp, primitive_words, random_purely_periodic
 
 GOLDEN = "poly:[-1,-1,1]@(1,2)"
 B4 = "poly:[-1,1,-2,1]@(1,2)"  # x^3 - 2x^2 + x - 1
@@ -332,6 +334,85 @@ class TestUniqueness:
             assert is_unique_expansion(FloatBeta(b), PeriodicSeq.parse("(1)^w")) is False
 
 
+def _cmp_seq_vs_digits(t: PeriodicSeq, exp, budget: int, mirrored: bool = False) -> int:
+    """Reference: compare t with the digits of 1 (or their mirror) one
+    digit at a time, reading digits only as far as the first difference."""
+    for i in range(budget):
+        a = t.at(i)
+        b = exp.digit(i)
+        if mirrored:
+            b = 1 - b
+        if a != b:
+            return LESS if a < b else GREATER
+    raise UndecidedError(
+        f"no strict difference within {budget} digits; raise the budget "
+        "or use an algebraic base", budget)
+
+
+def _unique_digit_by_digit(beta, s: PeriodicSeq, budget: int) -> bool:
+    """Reference criterion for a bound known only digit by digit."""
+    exp = d_of_beta(beta)
+    assert exp.finiteness[0] == "unknown"
+    for j in range(len(s.period)):
+        t = shift(s, j)
+        if _cmp_seq_vs_digits(t, exp, budget) != LESS:
+            return False
+        if _cmp_seq_vs_digits(t, exp, budget, mirrored=True) != GREATER:
+            return False
+    return True
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (UndecidedError, UndecidableDigitError) as exc:
+        return type(exc), str(exc), getattr(exc, "budget", None)
+
+
+class TestUniquenessNearThresholds:
+    def test_windowed_criterion_matches_digit_by_digit(self):
+        # float bases within 1e-13 of a threshold: the orbit of 1 stops
+        # being certified near the threshold's last digit, so small
+        # budgets and the undecidable digit both come into play
+        seqs = [PeriodicSeq((), w) for q in range(1, 7) for w in primitive_words(q)]
+        seen = set()
+        for k in range(2, 7):
+            center = float(threshold_beta(k, 1e-15))
+            for offset in (-1e-13, -2e-14, 0.0, 2e-14, 1e-13):
+                b = center + offset
+                new, ref = FloatBeta(b), FloatBeta(b)
+                for budget in range(1, 9):
+                    for s in seqs:
+                        got = _outcome(is_unique_expansion, new, s, budget)
+                        want = _outcome(_unique_digit_by_digit, ref, s, budget)
+                        assert got == want, (b, s, budget)
+                        seen.add(want if isinstance(want, bool) else want[0])
+        assert seen == {True, False, UndecidedError, UndecidableDigitError}
+
+    def test_exact_bounds_match_lcm_bound_reference(self):
+        # exact bases whose expansion of 1 is finite (the thresholds) or
+        # eventually periodic with a preperiod (solved from admissible words)
+        bases = [threshold_beta(k) for k in range(2, 9)]
+        words = {PeriodicSeq(pre, per)
+                 for p in range(1, 4) for pre in product((0, 1), repeat=p)
+                 for q in range(1, 4) for per in product((0, 1), repeat=q)}
+        for w in sorted(words, key=str):
+            if w.preperiod and w.period != BinaryWord("0") and is_parry_admissible(w):
+                bases.append(solve_base(w))
+        seqs = [PeriodicSeq((), w) for q in range(1, 8) for w in primitive_words(q)]
+        kinds = set()
+        for beta in bases:
+            kind = d_of_beta(beta).finiteness
+            kinds.add(kind[0])
+            bound = quasi_greedy(beta) if kind[0] == "finite" else d_of_beta(beta).as_periodic_seq()
+            low = mirror(bound)
+            for s in seqs:
+                ref = all(lcm_bound_cmp(low, shift(s, j)) < 0 < lcm_bound_cmp(bound, shift(s, j))
+                          for j in range(len(s.period)))
+                assert is_unique_expansion(beta, s) == ref, (beta, s)
+        assert kinds == {"finite", "infinite"} and len(bases) > 15
+
+
 class TestShiftMap:
     def test_fixed_points(self):
         b = FloatBeta(1.9)
@@ -374,6 +455,15 @@ class TestAttractor:
     def test_membership_from_sequence(self):
         assert in_attractor(FloatBeta(1.8), PeriodicSeq.parse("(0011)^w")) is True
         assert in_attractor(FloatBeta(1.9), PeriodicSeq.parse("(0)^w")) is False
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        b = FloatBeta(1.9)
+        x = expansion_value(b, PeriodicSeq.parse("(01)^w"))
+        with pytest.raises(PreconditionViolated):
+            in_attractor(b, x, budget)
+        with pytest.raises(PreconditionViolated):
+            in_attractor(b, PeriodicSeq.parse("(0)^w"), budget)
 
 
 class TestMonotonicity:

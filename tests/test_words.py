@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,16 @@ from univoque.words import (
     thue_morse,
     tm_morphism,
 )
-from util import SEED, extremal_members, primitive_words, random_purely_periodic, random_seq
+from univoque.expansions import is_parry_admissible
+from univoque.trapezoid import encode_itinerary, unimodal_cmp
+from util import (
+    SEED,
+    extremal_members,
+    lcm_bound_cmp,
+    primitive_words,
+    random_purely_periodic,
+    random_seq,
+)
 
 
 class TestBinaryWord:
@@ -115,6 +125,64 @@ class TestLexCmp:
     def test_words_need_equal_length(self):
         with pytest.raises(ValueError):
             lex_cmp(BinaryWord("01"), BinaryWord("011"))
+
+
+def _all_small_seqs(max_pre: int, max_period: int) -> list[PeriodicSeq]:
+    """Every canonical sequence with preperiod <= max_pre and period
+    <= max_period, each once."""
+    seqs = {PeriodicSeq(pre, per)
+            for p in range(max_pre + 1) for pre in product((0, 1), repeat=p)
+            for q in range(1, max_period + 1) for per in primitive_words(q)}
+    return sorted(seqs, key=str)
+
+
+class TestFineWilfLength:
+    SEQS = _all_small_seqs(3, 5)
+
+    def test_lex_cmp_matches_lcm_bound_on_all_pairs(self):
+        assert len(self.SEQS) > 400
+        for a in self.SEQS:
+            for b in self.SEQS:
+                assert lex_cmp(a, b) == lcm_bound_cmp(a, b), (a, b)
+
+    def test_is_extremal_matches_lcm_bound(self):
+        for s in self.SEQS:
+            m = mirror(s)
+            ref = all(lcm_bound_cmp(m, shift(s, k)) <= 0 and lcm_bound_cmp(shift(s, k), s) <= 0
+                      for k in range(len(s.preperiod) + len(s.period)))
+            assert is_extremal(s) == ref, s
+
+    def test_is_parry_admissible_matches_lcm_bound(self):
+        for s in self.SEQS:
+            ref = all(lcm_bound_cmp(shift(s, j), s) < 0
+                      for j in range(1, len(s.preperiod) + len(s.period) + 1))
+            assert is_parry_admissible(s) == ref, s
+
+    def test_coprime_periods_agreeing_on_a_long_prefix(self):
+        # a word of length 23 + 24 - 2 with periods 23 and 24 (gcd 1): its
+        # period-23 and period-24 extensions agree on 45 symbols, one short
+        # of the Fine-Wilf length 23 + 24 - 1, and then must differ
+        p, q = 23, 24
+        n = p + q - 2
+        root = list(range(n))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+        for i in range(n):
+            for d in (p, q):
+                if i + d < n:
+                    root[find(i + d)] = find(i)
+        classes = sorted({find(i) for i in range(n)})
+        assert len(classes) == 2
+        w = tuple(classes.index(find(i)) for i in range(n))
+        for pre in ((), (1, 0, 1)):
+            a, b = PeriodicSeq(pre, w[:p]), PeriodicSeq(pre, w[:q])
+            assert a.prefix(len(pre) + n) == b.prefix(len(pre) + n)
+            assert a != b
+            assert lex_cmp(a, b) == lcm_bound_cmp(a, b) == -lex_cmp(b, a) != EQUAL
+            assert unimodal_cmp(encode_itinerary(a), encode_itinerary(b)) == lex_cmp(a, b)
 
 
 class TestShiftMirror:

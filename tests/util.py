@@ -2,6 +2,7 @@
 exhaustive enumerations used by both the unit tests and the acceptance
 gate."""
 
+import math
 import random
 from functools import lru_cache
 from itertools import product
@@ -55,3 +56,18 @@ def admissible_words(max_len: int) -> tuple[BinaryWord, ...]:
             if is_parry_admissible(PeriodicSeq(word, (0,))):
                 out.append(BinaryWord(word))
     return tuple(out)
+
+
+def lcm_bound_cmp(a: PeriodicSeq, b: PeriodicSeq) -> int:
+    """Reference comparison on the first |pre_a| + |pre_b| +
+    lcm(|per_a|, |per_b|) symbols, a longer bound than the Fine-Wilf
+    length the package uses."""
+    n = (len(a.preperiod) + len(b.preperiod)
+         + math.lcm(len(a.period), len(b.period)))
+    wa, wb = _prefix_bits(a, n), _prefix_bits(b, n)
+    return (wa > wb) - (wa < wb)
+
+
+@lru_cache(maxsize=None)
+def _prefix_bits(s: PeriodicSeq, n: int) -> tuple[int, ...]:
+    return s.prefix(n).bits

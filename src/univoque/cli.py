@@ -197,18 +197,20 @@ def cmd_orbit(args, out) -> int:
         raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
     beta = as_beta(args.beta)
     x = _point(args.x, False)
+    lines = []  # written only once every step succeeded
     if args.map == "F":
         for _ in range(args.steps):
-            out.write(f"{x!r}\n")
+            lines.append(f"{x!r}\n")
             x = shift_map(beta, x)
-        out.write(f"{x!r}\n")
+        lines.append(f"{x!r}\n")
     else:
         params = trapezoid.as_params(beta)
         for _ in range(args.steps):
             sym = trapezoid.itinerary(params, x, 1).preperiod[0]
-            out.write(f"{sym} {x!r}\n")
+            lines.append(f"{sym} {x!r}\n")
             x = trapezoid.trapezoid_map(params, x)
-        out.write(f". {x!r}\n")
+        lines.append(f". {x!r}\n")
+    out.write("".join(lines))
     return 0
 
 
@@ -275,7 +277,7 @@ def cmd_q_n(args, out) -> int:
 def cmd_conjecture_2n(args, out) -> int:
     """Experiment only, no pass/fail semantics: scan bases near the
     2^n threshold and report which 2^n cycles exist, plateau-avoiding
-    or through the plateau."""
+    or through the plateau; '?' marks a base where that is undecided."""
     if args.steps < 0:
         raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
     length = 1 << args.n
@@ -290,7 +292,10 @@ def cmd_conjecture_2n(args, out) -> int:
     for i in range(args.steps):
         b = lo + (hi - lo) * i / (args.steps - 1) if args.steps > 1 else lo
         params = trapezoid.as_params(b)
-        lr = bool(trapezoid.find_lr_cycles(params, length))
+        try:
+            lr = "yes" if trapezoid.find_lr_cycles(params, length) else "no"
+        except (UndecidedError, UndecidableDigitError):
+            lr = "?"
         c_len = "-"
         x = params.plateau()[2]
         try:
@@ -302,7 +307,7 @@ def cmd_conjecture_2n(args, out) -> int:
                 x = trapezoid.trapezoid_map(params, x)
         except UnivoqueError:
             c_len = "?"
-        out.write(f"beta={b:.6f} lr_{length}cycle={'yes' if lr else 'no'} "
+        out.write(f"beta={b:.6f} lr_{length}cycle={lr} "
                   f"plateau_cycle_len={c_len}\n")
     return 0
 

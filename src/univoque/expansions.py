@@ -313,16 +313,12 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     beta = as_beta(beta)
     if n < 0:
         raise ValueError("digit count must be nonnegative")
-    if isinstance(beta, AlgebraicBeta):
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise PreconditionViolated(f"x must lie in [0, 1], got {x}")
-        orbit = _AlgebraicOrbit(beta, x)
-    else:
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise PreconditionViolated(f"x must lie in [0, 1], got {x}")
-        orbit = _FloatOrbit(beta.value, beta.tolerance, x)
+    exact = isinstance(beta, AlgebraicBeta)
+    x = Fraction(x) if exact else float(x)
+    if not 0 <= x <= 1:
+        shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
+        raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
+    orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
     return BinaryWord(tuple(orbit.step() for _ in range(n)))
 
 
@@ -442,27 +438,47 @@ def is_unique_expansion(beta, s: PeriodicSeq,
         raise PreconditionViolated("sequence must be purely periodic")
     _check_budget(digit_budget)
     q = len(s.period)
-    budget = digit_budget or 4 * q + 64
-    exp = d_of_beta(beta)
-    bound = quasi_greedy(beta) if exp.finiteness[0] == "finite" else exp.as_periodic_seq()
-    # each shift of s is a window of one prefix, compared with the bound on
-    # the Fine-Wilf length, or else with the digits certified within budget
-    if bound is not None:
-        top = bound._head(len(bound.preperiod) + len(bound.period) + q)
-    else:
-        top = exp._certified_prefix(budget)
-    n, low = len(top), tuple(1 - d for d in top)
-    head = s._head(q + n)
-    for t in (head[j:j + n] for j in range(q)):
-        if bound is None and t in (top, low):
-            if n == budget:
-                raise UndecidedError(
-                    f"no strict difference within {budget} digits; raise the "
-                    "budget or use an algebraic base", budget)
-            exp.digit(n)  # digit n is undecidable: raises the orbit's error
-        if not low < t < top:
+    bound = _BoundPrefix(beta, q, digit_budget)
+    return bound.admits(s._head(q + len(bound.top)), q)
+
+
+class _BoundPrefix:
+    """The prefix `top` of the bound that decides its comparison with
+    every shift of a period-q sequence: the bound's first p_b + q_b + q
+    symbols (Fine-Wilf) when it is eventually periodic, else the digits
+    of 1 certified within the budget, where equality is undecided."""
+
+    __slots__ = ("top", "low", "exp", "budget")
+
+    def __init__(self, beta: BetaValue, q: int, digit_budget: Optional[int]):
+        budget = digit_budget or 4 * q + 64
+        exp = d_of_beta(beta)
+        bound = quasi_greedy(beta) if exp.finiteness[0] == "finite" else exp.as_periodic_seq()
+        if bound is not None:
+            self.top = bound._head(len(bound.preperiod) + len(bound.period) + q)
+            self.exp = None
+        else:
+            self.top = exp._certified_prefix(budget)
+            self.exp = exp
+        self.low = tuple(1 - d for d in self.top)
+        self.budget = budget
+
+    def admits(self, head: tuple[int, ...], count: int) -> bool:
+        """Whether each of the first count windows of head of length
+        len(top) lies strictly between mirror(top) and top."""
+        top, low, exp, n = self.top, self.low, self.exp, len(self.top)
+        for j in range(count):
+            t = head[j:j + n]
+            if low < t < top:
+                continue
+            if exp is not None and t in (top, low):
+                if n == self.budget:
+                    raise UndecidedError(
+                        f"no strict difference within {n} digits; raise the "
+                        "budget or use an algebraic base", n)
+                exp.digit(n)  # digit n is undecidable: raises the orbit's error
             return False
-    return True
+        return True
 
 
 def shift_map(beta, x: float) -> float:

@@ -12,9 +12,9 @@ period exactly on half-mirror squares (there the shifted sequence is the
 mirror, so the run starts repeat after half the period), and is an order
 isomorphism onto the unimodal order.
 
-Also here: symbolic-affine search for plateau-avoiding cycles (compose
-the affine branch formulas along a candidate word, solve the linear
-fixed-point equation, verify strict branch membership), clipped
+Also here: the plateau-avoiding (LR) cycles, found as the decoded
+periodic unique expansions (the link between the two families on which
+the paper's second proof of the threshold order rests), clipped
 trapezoid variants with a lowered plateau, and the continuous-extension
 demonstration producing a genuine 3-periodic point above the period-4
 threshold.
@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import xor
 from typing import Optional
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
     OutOfDomainError,
     PreconditionViolated,
 )
-from .expansions import AlgebraicBeta, BetaValue, as_beta, expansion_value
+from .expansions import AlgebraicBeta, BetaValue, _BoundPrefix, as_beta, expansion_value
 from .thresholds import threshold_beta
 from .words import EQUAL, GREATER, LESS, PeriodicSeq, _canonical, primitive_necklaces
 
@@ -203,17 +205,10 @@ def itinerary(params, x: float, n: int) -> Itinerary:
     params = as_params(params)
     if n < 1:
         raise PreconditionViolated("need at least one symbol")
-    b = float(params.beta)
     syms = []
     for _ in range(n):
-        s = _classify(params, x)
-        syms.append(s)
-        if s == "L":
-            x = b * x
-        elif s == "C":
-            x = params.plateau()[2]
-        else:
-            x = b / (b - 1.0) - b * x
+        syms.append(_classify(params, x))
+        x = trapezoid_map(params, x)
     return Itinerary(syms, ())
 
 
@@ -241,12 +236,14 @@ def decode_itinerary(it: Itinerary) -> PeriodicSeq:
         raise NotInImageError("finite itineraries do not determine a sequence")
     if "C" in it.preperiod or "C" in it.period:
         raise NotInImageError("plateau symbol C is outside the encoding's image")
-    bits, parity = [], 0
-    for sym in it.preperiod + it.period * 2:
-        parity ^= sym == "R"
-        bits.append(parity)
+    bits = _r_parity(int(sym == "R") for sym in it.preperiod + it.period * 2)
     p = len(it.preperiod)
     return PeriodicSeq(bits[:p], bits[p:])
+
+
+def _r_parity(rs) -> tuple[int, ...]:
+    """The decoding rule: bit i is the parity of the 1s (the Rs) in rs[0..i]."""
+    return tuple(accumulate(rs, xor))
 
 
 def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
@@ -272,53 +269,34 @@ def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
     return EQUAL
 
 
-def _branch_intervals(params: TrapezoidParams):
-    lo_c, hi_c, _ = params.plateau()
-    return (0.0, lo_c), (hi_c, params.domain_top())
-
-
 def find_lr_cycles(params, n: int) -> list[Itinerary]:
-    """All primitive period-n cycles avoiding the plateau, found
-    symbolically: compose the two affine branch formulas along each
-    candidate word, solve the linear fixed-point equation, and accept
-    only orbits that sit strictly inside their claimed branches.
+    """All primitive period-n cycles of the unclipped map avoiding the
+    plateau, each as its largest rotation, in ascending order.
 
-    The candidates are the primitive necklaces of length n (R for 1, L
-    for 0), so n is capped at NECKLACE_LIMIT.  One itinerary per cycle
-    is returned, anchored at its largest rotation.
+    A word w over {L, R} is such a cycle exactly when w = L (the fixed
+    point 0) or decode_itinerary(w) is a unique expansion: decoding
+    conjugates the map with the digit shift there.  The candidates are
+    the primitive necklaces (R for 1), so n <= NECKLACE_LIMIT.  Verdicts
+    are exact, or raise as is_unique_expansion does at period 2n when the
+    expansion of 1 is not known to be eventually periodic (at any float).
     """
     params = as_params(params)
+    if params.clip is not None:
+        raise PreconditionViolated("the cycle criterion holds for the unclipped map only")
     if n < 1:
         raise PreconditionViolated("cycle length must be positive")
-    b = float(params.beta)
-    c = b / (b - 1.0)
-    (l_lo, l_hi), (r_lo, r_hi) = _branch_intervals(params)
+    # a decoded word has period n or 2n, and its shifts by n or more mirror
+    # those below n, which the two-sided criterion treats alike
+    bound = _BoundPrefix(params.beta, 2 * n, None)
+    width = n + len(bound.top)
     found = []
     for neck in primitive_necklaces(n):
-        word = tuple("R" if bit else "L" for bit in neck.representative)
-        amul, badd = 1.0, 0.0
-        for sym in word:
-            if sym == "L":
-                amul, badd = b * amul, b * badd
-            else:
-                amul, badd = -b * amul, c - b * badd
-        x0 = badd / (1.0 - amul)
-        x = x0
-        ok = True
-        for sym in word:
-            if sym == "L":
-                if not (-1e-12 <= x < l_hi - BOUNDARY_TOL):
-                    ok = False
-                    break
-                x = b * x
-            else:
-                if not (r_lo + BOUNDARY_TOL < x <= r_hi + 1e-12):
-                    ok = False
-                    break
-                x = c - b * x
-        if ok and abs(x - x0) < 1e-8:
-            found.append(word)
-    return [Itinerary((), word) for word in sorted(found)]
+        bits = neck.representative.bits
+        # the decoded word repeats after 2n symbols
+        head = (_r_parity(bits * 2) * (width // (2 * n) + 1))[:width]
+        if bits == (0,) or bound.admits(head, n):
+            found.append(Itinerary((), ["R" if bit else "L" for bit in bits]))
+    return found
 
 
 def extension_map(beta, x: float) -> float:

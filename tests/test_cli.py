@@ -6,6 +6,7 @@ import pytest
 from univoque.cli import main
 from univoque.trapezoid import Itinerary
 from univoque.words import PeriodicSeq
+from util import affine_lr_cycles
 
 TABLE_CSV = """n,d_beta_n,defining_poly,minimal_poly_if_divides,beta_n,below_KL
 2,11,x^2-x-1,x^2-x-1,1.61803,yes
@@ -146,6 +147,31 @@ class TestOrbits:
                            "--steps", "3", "--map", "F")
         assert code == 1
         assert "middle gap" in err
+
+
+class TestOutputGates:
+    @pytest.mark.parametrize("beta", ["1.62", "1.8", "1.95"])
+    def test_lr_cycles_json_matches_affine_reference(self, capsys, beta):
+        for n in range(1, 9):
+            code, out, err = run(capsys, "lr-cycles", "--beta", f"float:{beta}",
+                                 "--n", str(n), "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == json.dumps(affine_lr_cycles(float(beta), n)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--beta", "float:1.8", "--x", "1e300", "--map", "F"],
+        ["orbit", "--beta", "float:1.8", "--x", "0.3", "--map", "F"],  # gap after five steps
+    ])
+    def test_failed_orbit_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_out_of_range_exact_point_gets_a_short_message(self, capsys):
+        code, out, err = run(capsys, "expand", "--beta", "poly:[-1,-1,1]@(1,2)",
+                             "--x", "1e400")
+        assert code == 1 and out == ""
+        assert err == "error: x must lie in [0, 1], got a value above 1\n"
 
 
 class TestExitCodes:

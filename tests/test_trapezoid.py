@@ -38,7 +38,13 @@ from univoque.words import (
     lex_cmp,
     split_halfmirror,
 )
-from util import SEED, random_purely_periodic, random_seq
+from util import (
+    SEED,
+    affine_lr_cycles,
+    lr_necklace_words,
+    random_purely_periodic,
+    random_seq,
+)
 
 
 class TestItineraryType:
@@ -252,6 +258,50 @@ class TestLRCycles:
                 assert abs(z - pts[0]) < 1e-8
                 checked += 1
         assert checked >= 10
+
+
+class TestLRCyclesByCriterion:
+    """find_lr_cycles decides each word by the uniqueness criterion."""
+
+    @staticmethod
+    def by_definition(beta, n):
+        return [f"({w})^w" for w in lr_necklace_words(n)
+                if w == "L" or is_unique_expansion(
+                    beta, decode_itinerary(Itinerary((), w)))]
+
+    def test_matches_affine_solver_on_float_grid(self):
+        for i in range(45):
+            b = 1.55 + 0.01 * i
+            for n in range(1, 11):
+                got = [str(c) for c in find_lr_cycles(FloatBeta(b), n)]
+                assert got == affine_lr_cycles(b, n), (b, n)
+
+    @pytest.mark.parametrize("beta", [
+        "float:1.58", "float:1.62", "float:1.7", "float:1.8", "float:1.87", "float:1.95",
+        "poly:[-1,-1,-1,1]@(1,2)",          # tribonacci
+        "poly:[-1,-1,0,-1,-1,1]@(1,2)",     # beta_5
+        "poly:[-1,0,-1,-1,1]@(1,2)",        # beta_4
+    ])
+    def test_matches_per_necklace_definition(self, beta):
+        beta = BetaValue.parse(beta)
+        for n in range(1, 9):
+            got = [str(c) for c in find_lr_cycles(beta, n)]
+            assert got == self.by_definition(beta, n), (beta, n)
+
+    # LR n-cycles appear at beta_n, except that the encoding halves the
+    # period of half-mirror squares, so for n = 2, 4 they appear at beta_2n
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 8), (5, 5), (6, 6),
+                                      (7, 7), (9, 9), (10, 10)])
+    def test_onset_at_the_threshold(self, n, m):
+        exact = threshold_beta(m, 1e-12)
+        assert find_lr_cycles(exact, n) == []
+        assert find_lr_cycles(FloatBeta(float(exact) - 1e-7), n) == []
+        assert find_lr_cycles(FloatBeta(float(exact) + 1e-7), n) != []
+
+    def test_clipped_map_is_refused(self):
+        clipped = TrapezoidParams(FloatBeta(1.8), clip=("left", 0.4))
+        with pytest.raises(PreconditionViolated):
+            find_lr_cycles(clipped, 2)
 
 
 class TestConjugacySegment:

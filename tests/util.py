@@ -9,6 +9,7 @@ from itertools import product
 
 from univoque.words import BinaryWord, PeriodicSeq, _primitive_root, is_extremal
 from univoque.expansions import is_parry_admissible
+from univoque.trapezoid import BOUNDARY_TOL
 
 SEED = 20260810
 
@@ -71,3 +72,41 @@ def lcm_bound_cmp(a: PeriodicSeq, b: PeriodicSeq) -> int:
 @lru_cache(maxsize=None)
 def _prefix_bits(s: PeriodicSeq, n: int) -> tuple[int, ...]:
     return s.prefix(n).bits
+
+
+@lru_cache(maxsize=None)
+def lr_necklace_words(n: int) -> tuple[str, ...]:
+    """The largest rotation of each primitive word of length n over
+    L < R, in ascending order."""
+    words = ("".join("R" if b else "L" for b in w) for w in primitive_words(n))
+    return tuple(sorted(w for w in words
+                        if w == max(w[i:] + w[:i] for i in range(n))))
+
+
+def affine_lr_cycles(b: float, n: int) -> list[str]:
+    """Reference for find_lr_cycles at an unclipped float base: the
+    affine solver it replaced.  For each candidate word, compose the
+    branch formulas, solve the fixed-point equation in floats and keep
+    the orbit when every point sits in its branch, BOUNDARY_TOL clear of
+    the plateau edges."""
+    c = b / (b - 1.0)
+    l_hi, r_lo, r_hi = 1.0 / b, 1.0 / (b * (b - 1.0)), 1.0 / (b - 1.0)
+    found = []
+    for word in lr_necklace_words(n):
+        amul, badd = 1.0, 0.0
+        for sym in word:
+            amul, badd = (b * amul, b * badd) if sym == "L" else (-b * amul, c - b * badd)
+        x = x0 = badd / (1.0 - amul)
+        for sym in word:
+            if sym == "L":
+                if not -1e-12 <= x < l_hi - BOUNDARY_TOL:
+                    break
+                x = b * x
+            else:
+                if not r_lo + BOUNDARY_TOL < x <= r_hi + 1e-12:
+                    break
+                x = c - b * x
+        else:
+            if abs(x - x0) < 1e-8:
+                found.append(f"({word})^w")
+    return found

@@ -278,6 +278,8 @@ def cmd_conjecture_2n(args, out) -> int:
     """Experiment only, no pass/fail semantics: scan bases near the
     2^n threshold and report which 2^n cycles exist, plateau-avoiding
     or through the plateau; '?' marks a base where that is undecided."""
+    if args.n < 1:
+        raise PreconditionViolated(f"n must be >= 1, got {args.n}")
     if args.steps < 0:
         raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
     length = 1 << args.n

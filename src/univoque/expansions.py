@@ -436,21 +436,21 @@ def is_unique_expansion(beta, s: PeriodicSeq,
     beta = as_beta(beta)
     if not s.is_purely_periodic:
         raise PreconditionViolated("sequence must be purely periodic")
-    _check_budget(digit_budget)
-    q = len(s.period)
-    bound = _BoundPrefix(beta, q, digit_budget)
-    return bound.admits(s._head(q + len(bound.top)), q)
+    q = len(s._per)
+    return _BoundPrefix(beta, q, digit_budget).admits(s._per, q)
 
 
 class _BoundPrefix:
     """The prefix `top` of the bound that decides its comparison with
     every shift of a period-q sequence: the bound's first p_b + q_b + q
     symbols (Fine-Wilf) when it is eventually periodic, else the digits
-    of 1 certified within the budget, where equality is undecided."""
+    of 1 certified within the budget, where equality is undecided.  It
+    depends only on the base, q and the budget, so one serves a scan."""
 
     __slots__ = ("top", "low", "exp", "budget")
 
     def __init__(self, beta: BetaValue, q: int, digit_budget: Optional[int]):
+        _check_budget(digit_budget)
         budget = digit_budget or 4 * q + 64
         exp = d_of_beta(beta)
         bound = quasi_greedy(beta) if exp.finiteness[0] == "finite" else exp.as_periodic_seq()
@@ -463,10 +463,12 @@ class _BoundPrefix:
         self.low = tuple(1 - d for d in self.top)
         self.budget = budget
 
-    def admits(self, head: tuple[int, ...], count: int) -> bool:
-        """Whether each of the first count windows of head of length
-        len(top) lies strictly between mirror(top) and top."""
+    def admits(self, period: tuple[int, ...], count: int) -> bool:
+        """Whether the first count shifts of the purely periodic word
+        (period)^w, read as windows of length len(top) of one prefix,
+        lie strictly between mirror(top) and top."""
         top, low, exp, n = self.top, self.low, self.exp, len(self.top)
+        head = period * ((count + n) // len(period) + 1)
         for j in range(count):
             t = head[j:j + n]
             if low < t < top:

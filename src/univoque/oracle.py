@@ -24,9 +24,9 @@ from .errors import (
 )
 from .expansions import (
     FloatBeta,
+    _BoundPrefix,
     as_beta,
     is_parry_admissible,
-    is_unique_expansion,
     solve_base,
 )
 from .thresholds import min_extremal_recursive, sharkovskii_cmp, threshold_beta
@@ -57,13 +57,20 @@ def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
 def exists_period_n_unique(beta, n: int,
                            digit_budget: Optional[int] = None) -> bool:
     """Whether some purely periodic sequence of primitive period n is a
-    unique expansion in the given base, by exhausting necklaces."""
+    unique expansion in the given base, by exhausting necklaces.
+
+    Each necklace w is tested as is_unique_expansion(beta, (w)^w,
+    digit_budget) would test it, against one bound prefix shared by the
+    whole scan.  A necklace left undecided does not stop the scan; the
+    last such error is raised only when no necklace passes.
+    """
     beta = as_beta(beta)
+    necklaces = primitive_necklaces(n)
+    bound = _BoundPrefix(beta, n, digit_budget)
     undecided = None
-    for neck in primitive_necklaces(n):
-        s = PeriodicSeq((), neck.representative.bits)
+    for neck in necklaces:
         try:
-            if is_unique_expansion(beta, s, digit_budget):
+            if bound.admits(neck.representative.bits, n):
                 return True
         except (UndecidedError, UndecidableDigitError) as exc:
             undecided = exc

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expansions import AlgebraicBeta, BetaValue, _BoundPrefix, as_beta, expansion_value
 from .thresholds import threshold_beta
-from .words import EQUAL, GREATER, LESS, PeriodicSeq, _canonical, primitive_necklaces
+from .words import EQUAL, GREATER, LESS, PeriodicSeq, _EventuallyPeriodic, primitive_necklaces
 
 BOUNDARY_TOL = 1e-10
 
@@ -45,40 +45,25 @@ _SYMBOLS = ("L", "C", "R")
 _RANK = {"L": 0, "C": 1, "R": 2}
 
 
-def _coerce_syms(syms) -> tuple[str, ...]:
-    out = tuple(syms)
-    if any(s not in _SYMBOLS for s in out):
-        raise ValueError(f"symbols must be L, C or R: {out!r}")
-    return out
-
-
-class Itinerary:
+class Itinerary(_EventuallyPeriodic):
     """Finite or eventually periodic word over {L, C, R}.
 
     An empty period marks a finite word; otherwise the representation is
-    canonical exactly as for 0-1 sequences.  Text forms: ``RLLR``,
+    canonical exactly as for 0-1 sequences, with which it shares its
+    core (``words._EventuallyPeriodic``).  Text forms: ``RLLR``,
     ``(RL)^w``, ``L(RL)^w``.
     """
 
-    __slots__ = ("_pre", "_per")
+    __slots__ = ()
+    _PATTERN = re.compile(r"([LCR]*)(?:\(([LCR]+)\)\^w)?")
+    _NOUN = "itinerary"
 
     def __init__(self, preperiod=(), period=()):
-        pre = _coerce_syms(preperiod)
-        per = _coerce_syms(period)
-        if per:
-            pre, per = _canonical(pre, per)
-        object.__setattr__(self, "_pre", pre)
-        object.__setattr__(self, "_per", per)
-
-    @classmethod
-    def parse(cls, text: str) -> "Itinerary":
-        text = text.strip()
-        m = re.fullmatch(r"([LCR]*)\(([LCR]+)\)\^w", text)
-        if m:
-            return cls(m.group(1), m.group(2))
-        if re.fullmatch(r"[LCR]*", text):
-            return cls(text, ())
-        raise ValueError(f"cannot parse itinerary: {text!r}")
+        pre, per = tuple(preperiod), tuple(period)
+        for out in (pre, per):
+            if any(s not in _SYMBOLS for s in out):
+                raise ValueError(f"symbols must be L, C or R: {out!r}")
+        super().__init__(pre, per)
 
     @property
     def preperiod(self) -> tuple[str, ...]:
@@ -91,36 +76,6 @@ class Itinerary:
     @property
     def is_periodic(self) -> bool:
         return bool(self._per)
-
-    @property
-    def is_purely_periodic(self) -> bool:
-        return bool(self._per) and not self._pre
-
-    def at(self, i: int) -> Optional[str]:
-        """Symbol at position i, or None past the end of a finite word."""
-        p = len(self._pre)
-        if i < p:
-            return self._pre[i]
-        if not self._per:
-            return None
-        return self._per[(i - p) % len(self._per)]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Itinerary):
-            return self._pre == other._pre and self._per == other._per
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._pre, self._per))
-
-    def __str__(self) -> str:
-        pre = "".join(self._pre)
-        if not self._per:
-            return pre
-        return f"{pre}({''.join(self._per)})^w"
-
-    def __repr__(self) -> str:
-        return f"Itinerary.parse({str(self)!r})"
 
 
 @dataclass
@@ -249,24 +204,22 @@ def _r_parity(rs) -> tuple[int, ...]:
 def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
     """Itinerary order for maps with one increasing and one decreasing
     branch: compare at the first difference with L < C < R, flipping the
-    direction when the common prefix contains an odd number of Rs."""
-    if a.is_periodic and b.is_periodic:
-        bound = max(len(a.preperiod), len(b.preperiod)) + len(a.period) + len(b.period)
-    else:
-        bound = max(len(a.preperiod), len(b.preperiod)) + 1
-    flips = 0
-    for i in range(bound):
-        x, y = a.at(i), b.at(i)
-        if x is None or y is None:
-            if x is None and y is None:
-                return EQUAL
+    direction when the common prefix contains an odd number of Rs.
+
+    Two periodic words are equal once they agree on their Fine-Wilf
+    length max(p_a, p_b) + q_a + q_b; otherwise a finite word ends
+    within max(p_a, p_b) + 1 symbols.  Both are compared on one prefix
+    of that length."""
+    n = max(len(a._pre), len(b._pre))
+    n += len(a._per) + len(b._per) if a.is_periodic and b.is_periodic else 1
+    wa, wb = a._head(n), b._head(n)
+    i = next((i for i, (x, y) in enumerate(zip(wa, wb)) if x != y), None)
+    if i is None:
+        if len(wa) != len(wb):
             raise ValueError("one finite itinerary is a strict prefix of the other")
-        if x != y:
-            base = LESS if _RANK[x] < _RANK[y] else GREATER
-            return -base if flips % 2 else base
-        if x == "R":
-            flips += 1
-    return EQUAL
+        return EQUAL
+    base = LESS if _RANK[wa[i]] < _RANK[wb[i]] else GREATER
+    return -base if wa[:i].count("R") % 2 else base
 
 
 def find_lr_cycles(params, n: int) -> list[Itinerary]:
@@ -288,13 +241,11 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
     # a decoded word has period n or 2n, and its shifts by n or more mirror
     # those below n, which the two-sided criterion treats alike
     bound = _BoundPrefix(params.beta, 2 * n, None)
-    width = n + len(bound.top)
     found = []
     for neck in primitive_necklaces(n):
         bits = neck.representative.bits
         # the decoded word repeats after 2n symbols
-        head = (_r_parity(bits * 2) * (width // (2 * n) + 1))[:width]
-        if bits == (0,) or bound.admits(head, n):
+        if bits == (0,) or bound.admits(_r_parity(bits * 2), n):
             found.append(Itinerary((), ["R" if bit else "L" for bit in bits]))
     return found
 

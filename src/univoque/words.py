@@ -12,7 +12,10 @@ by Duval's algorithm.
 Sequences are stored in canonical form: the period word is primitive and
 the preperiod is as short as possible.  Equality, hashing and printing
 all operate on that canonical form, so the primitive period of a purely
-periodic sequence is simply ``len(s.period)``.
+periodic sequence is simply ``len(s.period)``.  That form, with parsing,
+symbol access, prefixes and the text form, lives in one private base
+class shared with the {L, C, R} itineraries of ``trapezoid``; words of
+different types are never equal.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ def _coerce_bits(bits: _BitsLike) -> tuple[int, ...]:
     if isinstance(bits, BinaryWord):
         return bits.bits
     if isinstance(bits, str):
-        if not re.fullmatch(r"[01]*", bits):
+        if bits.count("0") + bits.count("1") != len(bits):
             raise ValueError(f"not a binary word: {bits!r}")
-        return tuple(int(c) for c in bits)
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+        return tuple(map(int, bits))
+    out = tuple(map(int, bits))
+    if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"symbols must be 0 or 1, got {out}")
     return out
 
@@ -117,7 +120,69 @@ def _canonical(pre: tuple[int, ...], per: tuple[int, ...]):
     return tuple(pre), tuple(per)
 
 
-class PeriodicSeq:
+class _EventuallyPeriodic:
+    """Shared core of the eventually periodic word types: the canonical
+    (preperiod, period) pair of symbol tuples.  An empty period marks a
+    finite word.  Subclasses check their symbols before calling this
+    constructor and name their text pattern and noun."""
+
+    __slots__ = ("_pre", "_per")
+    _PATTERN: re.Pattern
+    _NOUN: str
+
+    def __init__(self, pre: tuple, per: tuple):
+        if per:
+            pre, per = _canonical(pre, per)
+        object.__setattr__(self, "_pre", pre)
+        object.__setattr__(self, "_per", per)
+
+    @classmethod
+    def parse(cls, text: str):
+        m = cls._PATTERN.fullmatch(text.strip())
+        if not m:
+            raise ValueError(f"cannot parse {cls._NOUN}: {text!r}")
+        return cls(m.group(1), m.group(2) or ())
+
+    @property
+    def is_purely_periodic(self) -> bool:
+        return bool(self._per) and not self._pre
+
+    def at(self, i: int):
+        """Symbol at 0-based position i, or None past the end of a finite word."""
+        p = len(self._pre)
+        if i < p:
+            return self._pre[i]
+        if not self._per:
+            return None
+        return self._per[(i - p) % len(self._per)]
+
+    def _head(self, n: int) -> tuple:
+        """The first n symbols (fewer if the word is finite) as a plain tuple."""
+        p, per = self._pre, self._per
+        if n <= len(p) or not per:
+            return p[:n]
+        reps, tail = divmod(n - len(p), len(per))
+        return p + per * reps + per[:tail]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._pre == other._pre and self._per == other._per
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._pre, self._per))
+
+    def __str__(self) -> str:
+        pre = "".join(map(str, self._pre))
+        if not self._per:
+            return pre
+        return f"{pre}({''.join(map(str, self._per))})^w"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.parse({str(self)!r})"
+
+
+class PeriodicSeq(_EventuallyPeriodic):
     """Eventually periodic infinite sequence over {0, 1}, kept canonical.
 
     ``PeriodicSeq(pre, per)`` represents pre followed by per repeated
@@ -125,23 +190,16 @@ class PeriodicSeq:
     ``(1100)^w``.
     """
 
-    __slots__ = ("_pre", "_per")
+    __slots__ = ()
+    _PATTERN = re.compile(r"([01]*)\(([01]+)\)\^w")
+    _NOUN = "periodic sequence"
 
     def __init__(self, preperiod: _BitsLike = (), period: _BitsLike = (1,)):
         pre = _coerce_bits(preperiod)
         per = _coerce_bits(period)
         if not per:
             raise ValueError("period must be nonempty")
-        pre, per = _canonical(pre, per)
-        object.__setattr__(self, "_pre", pre)
-        object.__setattr__(self, "_per", per)
-
-    @classmethod
-    def parse(cls, text: str) -> "PeriodicSeq":
-        m = re.fullmatch(r"([01]*)\(([01]+)\)\^w", text.strip())
-        if not m:
-            raise ValueError(f"cannot parse periodic sequence: {text!r}")
-        return cls(m.group(1), m.group(2))
+        super().__init__(pre, per)
 
     @property
     def preperiod(self) -> BinaryWord:
@@ -151,43 +209,8 @@ class PeriodicSeq:
     def period(self) -> BinaryWord:
         return BinaryWord(self._per)
 
-    @property
-    def is_purely_periodic(self) -> bool:
-        return not self._pre
-
-    def at(self, i: int) -> int:
-        """Symbol at 0-based position i."""
-        p = len(self._pre)
-        if i < p:
-            return self._pre[i]
-        return self._per[(i - p) % len(self._per)]
-
-    def _head(self, n: int) -> tuple[int, ...]:
-        """The first n symbols as a plain tuple."""
-        p, per = self._pre, self._per
-        if n <= len(p):
-            return p[:n]
-        reps, tail = divmod(n - len(p), len(per))
-        return p + per * reps + per[:tail]
-
     def prefix(self, n: int) -> BinaryWord:
         return BinaryWord(self._head(n))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PeriodicSeq):
-            return self._pre == other._pre and self._per == other._per
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._pre, self._per))
-
-    def __str__(self) -> str:
-        pre = "".join(map(str, self._pre))
-        per = "".join(map(str, self._per))
-        return f"{pre}({per})^w"
-
-    def __repr__(self) -> str:
-        return f"PeriodicSeq.parse({str(self)!r})"
 
 
 def lex_cmp(a, b) -> int:

@@ -240,6 +240,8 @@ def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env,
     (["conjecture-2n", "--steps", "-3"], "steps must be >= 0"),
     (["verify-lemmas", "--cases", "0"], "cases must be >= 1"),
     (["verify-lemmas", "--cases", "-1"], "cases must be >= 1"),
+    (["conjecture-2n", "--n", "0"], "n must be >= 1"),
+    (["conjecture-2n", "--n", "-1"], "n must be >= 1"),
 ])
 def test_counts_that_mean_nothing_are_rejected(capsys, argv, condition):
     code, out, err = run(capsys, *argv)

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from univoque.errors import PreconditionViolated, TooLargeError, UndecidedError
+from univoque.errors import (
+    PreconditionViolated,
+    TooLargeError,
+    UndecidableDigitError,
+    UndecidedError,
+)
 from univoque.expansions import FloatBeta, is_unique_expansion
 from univoque.oracle import (
     Necklace,
@@ -81,6 +86,49 @@ class TestExistence:
             ref = float(threshold_beta(n, 1e-10))
             assert exists_period_n_unique(FloatBeta(ref - 1e-7), n) is False, n
             assert exists_period_n_unique(FloatBeta(ref + 1e-7), n) is True, n
+
+    @staticmethod
+    def by_definition(beta, n, budget):
+        """One is_unique_expansion per necklace; an undecided necklace is
+        remembered and raised only when none passes."""
+        undecided = None
+        for neck in primitive_necklaces(n):
+            try:
+                if is_unique_expansion(beta, PeriodicSeq((), neck.representative), budget):
+                    return True
+            except (UndecidedError, UndecidableDigitError) as exc:
+                undecided = exc
+        if undecided is not None:
+            raise undecided
+        return False
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (UndecidedError, UndecidableDigitError) as exc:
+            return type(exc), str(exc)
+
+    def test_matches_per_necklace_definition_near_thresholds(self):
+        undecided = 0
+        for k in range(2, 7):
+            ref = float(threshold_beta(k, 1e-15))
+            for b in (ref - 1e-13, ref + 1e-13):
+                for n in range(2, 9):
+                    for budget in range(1, 9):
+                        got = self.outcome(exists_period_n_unique, FloatBeta(b), n, budget)
+                        want = self.outcome(self.by_definition, FloatBeta(b), n, budget)
+                        assert got == want, (b, n, budget)
+                        undecided += isinstance(got, tuple)
+        assert undecided > 0
+
+    def test_matches_per_necklace_definition_at_exact_thresholds(self):
+        for k in range(2, 7):
+            beta = threshold_beta(k, 1e-12)
+            for n in range(2, 9):
+                for budget in (None, 1, 8):
+                    assert (exists_period_n_unique(beta, n, budget)
+                            == self.by_definition(beta, n, budget)), (k, n, budget)
 
 
 class TestMinBeta:

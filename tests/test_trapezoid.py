@@ -44,6 +44,8 @@ from util import (
     lr_necklace_words,
     random_purely_periodic,
     random_seq,
+    small_itineraries,
+    symbolwise_unimodal_cmp,
 )
 
 
@@ -190,6 +192,20 @@ class TestUnimodalOrder:
             t = random_purely_periodic(rng, 10)
             assert lex_cmp(s, t) == unimodal_cmp(encode_itinerary(s),
                                                  encode_itinerary(t))
+
+    def test_matches_symbolwise_loop_on_all_small_pairs(self):
+        def outcome(cmp, a, b):
+            try:
+                return cmp(a, b)
+            except ValueError as exc:
+                return str(exc)
+
+        words = small_itineraries()
+        assert len(words) == 337
+        for a in words:
+            for b in words:
+                assert (outcome(unimodal_cmp, a, b)
+                        == outcome(symbolwise_unimodal_cmp, a, b)), (a, b)
 
 
 class TestLRCycles:

@@ -20,7 +20,7 @@ from univoque.words import (
     tm_morphism,
 )
 from univoque.expansions import is_parry_admissible
-from univoque.trapezoid import encode_itinerary, unimodal_cmp
+from univoque.trapezoid import Itinerary, encode_itinerary, unimodal_cmp
 from util import (
     SEED,
     extremal_members,
@@ -81,6 +81,29 @@ class TestPeriodicSeq:
         assert [s.at(i) for i in range(5)] == [1, 1, 0, 0, 0]
         assert str(s.prefix(5)) == "11000"
         assert str(PeriodicSeq("", "10").prefix(5)) == "10101"
+
+
+class TestSharedWordCore:
+    """PeriodicSeq and Itinerary share one canonical form and text form."""
+
+    @pytest.mark.parametrize("word", [
+        PeriodicSeq.parse("11(0)^w"), PeriodicSeq("0110", "011011"), PeriodicSeq(),
+        Itinerary.parse("L(RL)^w"), Itinerary("RLLR", ()), Itinerary(), Itinerary("RL", "RLRL"),
+    ])
+    def test_repr_round_trips_through_parse(self, word):
+        assert eval(repr(word), {type(word).__name__: type(word)}) == word
+
+    def test_types_never_compare_equal(self):
+        assert PeriodicSeq.parse("(01)^w") != Itinerary.parse("(RL)^w")
+        assert Itinerary.parse("(RL)^w") != PeriodicSeq.parse("(01)^w")
+        assert PeriodicSeq.parse("(0)^w") != Itinerary.parse("(L)^w")
+
+    def test_each_type_names_itself_when_parsing_fails(self):
+        with pytest.raises(ValueError, match=r"^cannot parse periodic sequence: '0101'$"):
+            PeriodicSeq.parse("0101")
+        with pytest.raises(ValueError, match=r"^cannot parse itinerary: '\(RX\)\^w'$"):
+            Itinerary.parse("(RX)^w")
+        assert not Itinerary.parse("RL").is_periodic
 
 
 class TestLexCmp:

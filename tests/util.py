@@ -7,9 +7,9 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from univoque.words import BinaryWord, PeriodicSeq, _primitive_root, is_extremal
+from univoque.words import EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root, is_extremal
 from univoque.expansions import is_parry_admissible
-from univoque.trapezoid import BOUNDARY_TOL
+from univoque.trapezoid import BOUNDARY_TOL, Itinerary
 
 SEED = 20260810
 
@@ -110,3 +110,36 @@ def affine_lr_cycles(b: float, n: int) -> list[str]:
             if abs(x - x0) < 1e-8:
                 found.append(f"({word})^w")
     return found
+
+
+@lru_cache(maxsize=None)
+def small_itineraries() -> tuple[Itinerary, ...]:
+    """Every finite itinerary over {L, C, R} of length at most 3 and every
+    eventually periodic one with preperiod at most 2 and period at most 3."""
+    out = {Itinerary(w, ()) for n in range(4) for w in product("LCR", repeat=n)}
+    for p, q in product(range(3), range(1, 4)):
+        for w in product("LCR", repeat=p + q):
+            out.add(Itinerary(w[:p], w[p:]))
+    return tuple(sorted(out, key=str))
+
+
+def symbolwise_unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
+    """Reference for unimodal_cmp: the symbol-by-symbol loop it replaced,
+    reading at(i) up to the same bound and counting Rs as it goes."""
+    if a.is_periodic and b.is_periodic:
+        bound = max(len(a.preperiod), len(b.preperiod)) + len(a.period) + len(b.period)
+    else:
+        bound = max(len(a.preperiod), len(b.preperiod)) + 1
+    flips = 0
+    for i in range(bound):
+        x, y = a.at(i), b.at(i)
+        if x is None or y is None:
+            if x is None and y is None:
+                return EQUAL
+            raise ValueError("one finite itinerary is a strict prefix of the other")
+        if x != y:
+            base = LESS if "LCR".index(x) < "LCR".index(y) else GREATER
+            return -base if flips % 2 else base
+        if x == "R":
+            flips += 1
+    return EQUAL

@@ -39,7 +39,6 @@ from .expansions import (
     d_of_beta,
     expansion_value,
     greedy_digits,
-    in_attractor,
     is_parry_admissible,
     is_unique_expansion,
     quasi_greedy,

@@ -84,7 +84,7 @@ def _point(text: str, exact: bool) -> Fraction | float:
     """The --x value: a Fraction when exact, else a float."""
     try:
         return Fraction(text) if exact else float(Fraction(text))
-    except (ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"x must be a finite number, got {text!r}") from None
 
 

@@ -58,17 +58,20 @@ class BetaValue:
     def parse(text: str) -> "BetaValue":
         """Parse 'float:1.9' or 'poly:[-1,-1,1]@(1,2)' (constant term first)."""
         text = text.strip()
-        if text.startswith("float:"):
-            return FloatBeta(float(text[len("float:"):]))
-        m = re.fullmatch(r"poly:\[([^\]]*)\]@\(([^,]+),([^)]+)\)", text)
-        if m:
-            coeffs = [int(c) for c in m.group(1).split(",")]
-            try:
+        try:
+            if text.startswith("float:"):
+                return FloatBeta(float(text[len("float:"):]))
+            m = re.fullmatch(r"poly:\[([^\]]*)\]@\(([^,]+),([^)]+)\)", text)
+            if m:
+                coeffs = [int(c) for c in m.group(1).split(",")]
                 lo, hi = Fraction(m.group(2).strip()), Fraction(m.group(3).strip())
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in base: {text!r}") from None
-            return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
-        raise ValueError(f"cannot parse base: {text!r}")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in base: {text!r}") from None
+        except ValueError:  # a number that int, float or Fraction rejects
+            raise ValueError(f"cannot parse base: {text!r}") from None
+        if not m:
+            raise ValueError(f"cannot parse base: {text!r}")
+        return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
 
 
 class FloatBeta(BetaValue):
@@ -497,41 +500,3 @@ def shift_map(beta, x: float) -> float:
         raise MiddleGapError(
             f"x={x} lies in the middle gap [{1.0/b}, {1.0/(b*(b-1.0))}]")
     return b * x - 1.0
-
-
-def in_attractor(beta, x, digit_budget: Optional[int] = None) -> bool:
-    """Whether x lies in the invariant core ((2-b)/(b-1), 1) with a unique
-    expansion.  x may be a value or a purely periodic digit sequence; a
-    bare value is accepted when a periodic expansion can be recovered
-    from its greedy digits."""
-    beta = as_beta(beta)
-    _check_budget(digit_budget)
-    b = float(beta)
-    low = (2.0 - b) / (b - 1.0)
-    if isinstance(x, PeriodicSeq):
-        val = expansion_value(beta, x)
-        if not low < val < 1.0:
-            return False
-        return is_unique_expansion(beta, x, digit_budget)
-    val = float(x)
-    if not low < val < 1.0:
-        return False
-    n = digit_budget or 48
-    if isinstance(beta, AlgebraicBeta):
-        digits = list(greedy_digits(beta, Fraction(val), n).bits)
-    else:
-        orbit = _FloatOrbit(beta.value, beta.tolerance, val)
-        digits = []
-        try:
-            for _ in range(n):
-                digits.append(orbit.step())
-        except UndecidableDigitError:
-            pass
-    m = len(digits)
-    for q in range(1, m // 3 + 1):
-        if all(digits[i] == digits[i % q] for i in range(m)):
-            cand = PeriodicSeq((), digits[:q])
-            if abs(expansion_value(beta, cand) - val) < 1e-9:
-                return is_unique_expansion(beta, cand, digit_budget)
-    raise UndecidedError(
-        f"could not recover a periodic expansion of {val} within {m} digits", m)

@@ -17,7 +17,8 @@ periodic unique expansions (the link between the two families on which
 the paper's second proof of the threshold order rests), clipped
 trapezoid variants with a lowered plateau, and the continuous-extension
 demonstration producing a genuine 3-periodic point above the period-4
-threshold.
+threshold, solved as one linear equation and certified by exact
+evaluation of the extension.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     OutOfDomainError,
     PreconditionViolated,
 )
-from .expansions import AlgebraicBeta, BetaValue, _BoundPrefix, as_beta, expansion_value
+from .expansions import BetaValue, _BoundPrefix, as_beta
 from .thresholds import threshold_beta
 from .words import EQUAL, GREATER, LESS, PeriodicSeq, _EventuallyPeriodic, primitive_necklaces
 
@@ -253,56 +254,45 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
 def extension_map(beta, x: float) -> float:
     """Continuous extension of the gap map: the gap is bridged by the
     straight line from (1/b, 1) down to (1/(b(b-1)), (2-b)/(b-1))."""
-    b = float(as_beta(beta))
-    l_hi = 1.0 / b
-    g_hi = 1.0 / (b * (b - 1.0))
-    top = 1.0 / (b - 1.0)
-    if x < 0.0 or x > top:
+    return _extension(float(as_beta(beta)), x)
+
+
+def _extension(b, x):
+    """extension_map at b in b's own arithmetic: float in, float out;
+    Fraction in, exact Fraction out."""
+    l_hi = 1 / b
+    g_hi = 1 / (b * (b - 1))
+    top = 1 / (b - 1)
+    if x < 0 or x > top:
         raise OutOfDomainError(f"x={x} outside [0, {top}]")
     if x < l_hi:
         return b * x
     if x <= g_hi:
-        y0, y1 = 1.0, (2.0 - b) / (b - 1.0)
+        y0, y1 = 1, (2 - b) / (b - 1)
         return y0 + (x - l_hi) * (y1 - y0) / (g_hi - l_hi)
-    return b * x - 1.0
+    return b * x - 1
 
 
 def extension_three_cycle(beta) -> float:
-    """A genuine 3-periodic point of the continuous extension.
+    """A genuine 3-periodic point of the continuous extension, as the
+    float nearest the exact point at the float of the base.
 
-    Above the period-4 threshold the values of (0011)^w, (0110)^w,
-    (1100)^w, (1001)^w form a 4-cycle of the gap map; the third iterate
-    of the extension then changes sign across the first two of those
-    points, and any root in between is 3-periodic because the extension
-    has no fixed point there.
+    Above the period-4 threshold the cycle visits the left branch, the
+    right branch and the bridge, whose slope is s = b(3-2b)/(2-b).  Along
+    that word the third iterate is x -> s(b^2 x - 1 - 1/b) + 1, so the
+    point solves one linear equation.  It is solved in Fraction at the
+    dyadic value b of the float base, where extension_map evaluates, and
+    certified there by exact evaluation of the map: three steps return
+    to x and one does not, so its least period is 3.  The threshold is
+    a precondition, checked exactly against b, not derived here.
     """
-    beta = as_beta(beta)
-    b4 = threshold_beta(4, 1e-12)
-    if isinstance(beta, AlgebraicBeta):
-        if beta.root.compare(b4.root) <= 0:
-            raise PreconditionViolated("base must exceed the period-4 threshold")
-    else:
-        if b4.root.cmp_rational(Fraction(beta.value)) >= 0:
-            raise PreconditionViolated("base must exceed the period-4 threshold")
-    x1 = expansion_value(beta, PeriodicSeq.parse("(0011)^w"))
-    x2 = expansion_value(beta, PeriodicSeq.parse("(0110)^w"))
-
-    def g(x: float) -> float:
-        y = extension_map(beta, x)
-        y = extension_map(beta, y)
-        return extension_map(beta, y) - x
-
-    lo, hi = x1, x2
-    glo, ghi = g(lo), g(hi)
-    if not (glo > 0.0 > ghi):
-        raise RuntimeError("internal: no sign change for the third iterate")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) < 1e-12 and hi - lo < 1e-13:
-            break
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    b = Fraction(float(as_beta(beta)))
+    if threshold_beta(4, 1e-12).root.cmp_rational(b) >= 0:
+        raise PreconditionViolated("base must exceed the period-4 threshold")
+    s = b * (3 - 2 * b) / (2 - b)
+    x = (1 - s * (1 + 1 / b)) / (1 - s * b * b)
+    y = _extension(b, x)
+    if y == x or _extension(b, _extension(b, y)) != x:
+        raise PreconditionViolated(
+            f"no 3-cycle through L, R and the bridge at base {float(b)!r}")
+    return float(x)

@@ -235,6 +235,23 @@ def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--beta", "float:1.8", "--x", "nan"], "x must be a finite number, got 'nan'"),
+    (["expand", "--beta", "float:1.8", "--x", "inf"], "x must be a finite number, got 'inf'"),
+    (["expand", "--beta", "float:1.8", "--x", "abc"], "x must be a finite number, got 'abc'"),
+    (["orbit", "--beta", "float:1.8", "--x", "nan"], "x must be a finite number, got 'nan'"),
+    (["orbit", "--beta", "float:1.8", "--x", "abc"], "x must be a finite number, got 'abc'"),
+    (["check-unique", "--beta", "poly:[a]@(1,2)", "--seq", "(01)^w"],
+     "cannot parse base: 'poly:[a]@(1,2)'"),
+    (["check-unique", "--beta", "float:abc", "--seq", "(01)^w"], "cannot parse base: 'float:abc'"),
+    (["check-unique", "--beta", "poly:[-1,-1,1]@(1,x)", "--seq", "(01)^w"],
+     "cannot parse base: 'poly:[-1,-1,1]@(1,x)'"),
+])
+def test_malformed_text_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, condition", [
     (["orbit", "--beta", "float:1.8", "--x", "0.3", "--steps", "-1"], "steps must be >= 0"),
     (["conjecture-2n", "--steps", "-3"], "steps must be >= 0"),

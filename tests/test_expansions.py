@@ -21,7 +21,6 @@ from univoque.expansions import (
     d_of_beta,
     expansion_value,
     greedy_digits,
-    in_attractor,
     is_parry_admissible,
     is_unique_expansion,
     quasi_greedy,
@@ -443,27 +442,6 @@ class TestShiftMap:
             checked += 1
             assert abs(fx - expansion_value(b, shift(s, 1))) < 1e-12
         assert checked > 300
-
-
-class TestAttractor:
-    def test_membership_from_value(self):
-        b = FloatBeta(1.9)
-        x = expansion_value(b, PeriodicSeq.parse("(01)^w"))
-        assert in_attractor(b, x) is True
-        assert in_attractor(b, 0.0) is False
-
-    def test_membership_from_sequence(self):
-        assert in_attractor(FloatBeta(1.8), PeriodicSeq.parse("(0011)^w")) is True
-        assert in_attractor(FloatBeta(1.9), PeriodicSeq.parse("(0)^w")) is False
-
-    @pytest.mark.parametrize("budget", [0, -5])
-    def test_rejects_budget_below_one(self, budget):
-        b = FloatBeta(1.9)
-        x = expansion_value(b, PeriodicSeq.parse("(01)^w"))
-        with pytest.raises(PreconditionViolated):
-            in_attractor(b, x, budget)
-        with pytest.raises(PreconditionViolated):
-            in_attractor(b, PeriodicSeq.parse("(0)^w"), budget)
 
 
 class TestMonotonicity:

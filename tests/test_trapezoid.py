@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -41,6 +42,8 @@ from univoque.words import (
 from util import (
     SEED,
     affine_lr_cycles,
+    bisection_three_cycle,
+    float_extension_map,
     lr_necklace_words,
     random_purely_periodic,
     random_seq,
@@ -381,3 +384,33 @@ class TestExtensionDemo:
             extension_three_cycle(FloatBeta(1.7))
         with pytest.raises(PreconditionViolated):
             extension_three_cycle(threshold_beta(4, 1e-10))
+
+    def test_three_cycle_matches_bisection(self):
+        rng = random.Random(SEED)
+        b4 = float(threshold_beta(4, 1e-12))
+        bases = [FloatBeta(rng.uniform(b4, 2.0)) for _ in range(200)]
+        bases += [FloatBeta(b) for b in (1.76, 1.8, 1.9, math.nextafter(b4, 2.0))]
+        bases.append(BetaValue.parse("poly:[-1,-1,-1,1]@(1,2)"))
+        for beta in bases:
+            x = extension_three_cycle(beta)
+            assert abs(x - bisection_three_cycle(beta)) <= 1e-12, beta
+
+    def test_three_cycle_at_the_threshold_float(self):
+        b4 = float(threshold_beta(4, 1e-12))
+        beta = FloatBeta(math.nextafter(b4, 2.0))
+        x = extension_three_cycle(beta)
+        x1 = expansion_value(beta, PeriodicSeq.parse("(0011)^w"))
+        x2 = expansion_value(beta, PeriodicSeq.parse("(0110)^w"))
+        assert x1 < x < x2
+        # float(beta_4) lies below beta_4
+        with pytest.raises(PreconditionViolated):
+            extension_three_cycle(FloatBeta(b4))
+
+    def test_extension_map_matches_float_formula(self):
+        rng = random.Random(SEED)
+        for _ in range(2000):
+            b = rng.uniform(1.01, 1.99)
+            top = 1.0 / (b - 1.0)
+            points = [rng.uniform(0.0, top), 0.0, 1.0 / b, 1.0 / (b * (b - 1.0)), top]
+            for x in points:
+                assert extension_map(FloatBeta(b), x).hex() == float_extension_map(b, x).hex()

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 
 from univoque.words import EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root, is_extremal
-from univoque.expansions import is_parry_admissible
+from univoque.expansions import as_beta, expansion_value, is_parry_admissible
 from univoque.trapezoid import BOUNDARY_TOL, Itinerary
 
 SEED = 20260810
@@ -110,6 +110,48 @@ def affine_lr_cycles(b: float, n: int) -> list[str]:
             if abs(x - x0) < 1e-8:
                 found.append(f"({word})^w")
     return found
+
+
+def float_extension_map(b: float, x: float) -> float:
+    """Reference for extension_map at a float base and a point of its
+    domain: the float formula it replaced, with float literals."""
+    l_hi = 1.0 / b
+    g_hi = 1.0 / (b * (b - 1.0))
+    if x < l_hi:
+        return b * x
+    if x <= g_hi:
+        y0, y1 = 1.0, (2.0 - b) / (b - 1.0)
+        return y0 + (x - l_hi) * (y1 - y0) / (g_hi - l_hi)
+    return b * x - 1.0
+
+
+def bisection_three_cycle(beta) -> float:
+    """Reference for extension_three_cycle: the float bisection it
+    replaced.  The third iterate minus x changes sign between the values
+    of (0011)^w and (0110)^w; bisect for up to 200 steps."""
+    beta = as_beta(beta)
+    b = float(beta)
+
+    def g(x: float) -> float:
+        y = x
+        for _ in range(3):
+            y = float_extension_map(b, y)
+        return y - x
+
+    lo = expansion_value(beta, PeriodicSeq.parse("(0011)^w"))
+    hi = expansion_value(beta, PeriodicSeq.parse("(0110)^w"))
+    if not g(lo) > 0.0 > g(hi):
+        raise ValueError("no sign change for the third iterate")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if abs(gm) < 1e-12 and hi - lo < 1e-13:
+            break
+        if gm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=None)

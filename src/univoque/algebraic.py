@@ -254,8 +254,8 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
     """Disjoint isolating intervals for all real roots of p in (lo, hi).
 
     p must be squarefree (see squarefree_part) and must not vanish at
-    the endpoints.  Each returned pair (a, b) holds exactly one root;
-    a == b marks an exact rational root.
+    the endpoints.  Each returned pair (a, b) holds exactly one root of
+    p, and it is simple; a == b marks an exact rational root.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
@@ -286,6 +286,12 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
 class CertifiedRoot:
     """A real algebraic number: polynomial plus certified isolating interval.
 
+    Invariant: `_sq` is a primitive integer polynomial that vanishes at
+    the number; `_sq` has exactly one root in the interval, and it is
+    simple.  When the given polynomial has a single Descartes sign
+    variation on the interval, its primitive part serves as `_sq` as it
+    stands; only otherwise is its squarefree part computed and isolated.
+
     The interval only ever shrinks, so concurrent readers may observe
     different widths but never a different number.
     """
@@ -297,18 +303,24 @@ class CertifiedRoot:
         if not lo <= hi:
             raise ValueError("empty interval")
         self.poly = poly
-        self._sq = squarefree_part(poly)
         self._float = None
         if lo == hi:
+            self._sq = squarefree_part(poly)
             if self._sq.sign_at(lo) != 0:
                 raise ValueError("point interval is not a root")
             self._lo = self._hi = lo
             self._sign_lo = 0
             return
-        ivals = isolate_roots(self._sq, lo, hi)
-        if len(ivals) != 1:
-            raise ValueError(f"expected exactly one root in ({lo}, {hi}), found {len(ivals)}")
-        self._lo, self._hi = ivals[0]
+        sq = IntPolynomial(_primitive(poly.coeffs))
+        if sq.sign_at(lo) and sq.sign_at(hi) and _descartes_bound(sq, lo, hi) == 1:
+            # one sign variation: exactly one root, and it is simple
+            self._sq, self._lo, self._hi = sq, lo, hi
+        else:
+            self._sq = squarefree_part(poly)
+            ivals = isolate_roots(self._sq, lo, hi)
+            if len(ivals) != 1:
+                raise ValueError(f"expected exactly one root in ({lo}, {hi}), found {len(ivals)}")
+            self._lo, self._hi = ivals[0]
         self._sign_lo = self._sq.sign_at(self._lo)
 
     @property
@@ -336,14 +348,23 @@ class CertifiedRoot:
             self._bisect()
         return self
 
+    def vanishes(self, r: IntPolynomial) -> bool:
+        """Whether r is zero at this root, decided exactly without bisection.
+
+        Away from a point interval, r vanishes at the root exactly when
+        gcd(_sq, r) changes sign across the interval: the gcd's roots in
+        the interval are roots of _sq, so at most the one simple root.
+        """
+        if r.is_zero:
+            return True
+        if self._lo == self._hi:
+            return r.sign_at(self._lo) == 0
+        g = poly_gcd(self._sq, r)
+        return g.degree >= 1 and g.sign_at(self._lo) * g.sign_at(self._hi) < 0
+
     def sign_at_root(self, r: IntPolynomial) -> int:
         """Exact sign of r evaluated at this root."""
-        if r.is_zero:
-            return 0
-        if self._lo == self._hi:
-            return r.sign_at(self._lo)
-        g = poly_gcd(self._sq, r)
-        if g.degree >= 1 and g.sign_at(self._lo) * g.sign_at(self._hi) < 0:
+        if self.vanishes(r):
             return 0
         while True:
             vlo, vhi = _interval_eval(r, self._lo, self._hi)
@@ -352,27 +373,31 @@ class CertifiedRoot:
             if vhi < 0:
                 return -1
             self._bisect()
-            if self._lo == self._hi:
-                return r.sign_at(self._lo)
 
     def compare(self, other: "CertifiedRoot") -> int:
-        """Exact three-way comparison with another certified root."""
+        """Exact three-way comparison with another certified root.
+
+        Bisection separates distinct roots; equality is proved once, by
+        whether other's polynomial vanishes at this root.
+        """
         if self is other:
             return 0
-        mine_vanishes = None
+        if other._lo == other._hi and self._lo < self._hi:
+            # the point's polynomial may vanish at another root in this
+            # interval, so test equality from the point's side
+            return -other.compare(self)
+        equal = None
         while True:
             if self._hi < other._lo:
                 return -1
             if other._hi < self._lo:
                 return 1
-            if mine_vanishes is None:
-                mine_vanishes = self.sign_at_root(other._sq) == 0
-            if mine_vanishes:
-                if other._lo < self._lo and self._hi < other._hi:
-                    return 0
-                self._bisect()
-            else:
-                self._bisect()
+            if equal is None:
+                equal = self.vanishes(other._sq)
+            if equal and (self._lo == self._hi or other._lo < self._lo and self._hi < other._hi):
+                return 0
+            self._bisect()
+            if not equal:
                 other._bisect()
 
     def cmp_rational(self, x) -> int:

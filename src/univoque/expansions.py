@@ -71,7 +71,10 @@ class BetaValue:
             raise ValueError(f"cannot parse base: {text!r}") from None
         if not m:
             raise ValueError(f"cannot parse base: {text!r}")
-        return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
+        try:
+            return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
+        except ValueError as exc:  # no single root in the interval
+            raise ValueError(f"base {text!r}: {exc}") from None
 
 
 class FloatBeta(BetaValue):
@@ -171,7 +174,13 @@ class _FloatOrbit:
 
 
 class _AlgebraicOrbit:
-    """Exact greedy digit orbit: t is a polynomial remainder in the base."""
+    """Exact greedy digit orbit: t is a polynomial remainder in the base.
+
+    Remainders are taken modulo the root's `_sq`, which vanishes at the
+    base, so reduction never changes the value.  `_sq` need not be
+    squarefree or minimal; it has exactly one root in the interval, and
+    it is simple.
+    """
 
     __slots__ = ("beta", "_sq", "coeffs")
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from univoque import algebraic
 from univoque.algebraic import (
     CertifiedRoot,
     IntPolynomial,
@@ -10,9 +11,14 @@ from univoque.algebraic import (
     poly_gcd,
     poly_str,
     squarefree_part,
+    _descartes_bound,
     _interval_eval,
 )
+from univoque.expansions import AlgebraicBeta, d_of_beta, greedy_digits
+from univoque.thresholds import sharkovskii_cmp, threshold_beta, threshold_poly
 from util import SEED
+
+GOLDEN = IntPolynomial([-1, -1, 1])  # x^2 - x - 1
 
 
 def _random_poly(rng, max_deg=6, max_coeff=9):
@@ -188,6 +194,80 @@ class TestCertifiedRoot:
         a = CertifiedRoot(IntPolynomial([-16, 10]), 1, 2)
         b = CertifiedRoot(IntPolynomial([-161, 100]), 1, 2)
         assert a.compare(b) == -1
+
+
+class TestConstructionPaths:
+    """A polynomial with one Descartes sign variation on the interval
+    serves as its own `_sq`, squarefree or not; any other is reduced to
+    its squarefree part and isolated.  Both must give the same number."""
+
+    SHORTCUT = GOLDEN * IntPolynomial([1, 1]) * IntPolynomial([1, 1])  # g (x+1)^2
+    FALLBACK = GOLDEN * GOLDEN  # g^2
+
+    def test_each_polynomial_takes_its_path(self):
+        assert _descartes_bound(self.SHORTCUT, 1, 2) == 1
+        r = CertifiedRoot(self.SHORTCUT, 1, 2)
+        assert r._sq == self.SHORTCUT != squarefree_part(self.SHORTCUT)
+        assert r.interval == (1, 2)
+        assert _descartes_bound(self.FALLBACK, 1, 2) == 2
+        assert CertifiedRoot(self.FALLBACK, 1, 2)._sq == GOLDEN
+
+    @pytest.mark.parametrize("poly", [SHORTCUT, FALLBACK], ids=["shortcut", "fallback"])
+    def test_same_number_as_the_squarefree_root(self, poly):
+        golden = CertifiedRoot(GOLDEN, 1, 2)
+        r = CertifiedRoot(poly, 1, 2)
+        assert r.compare(golden) == 0 and golden.compare(r) == 0
+        for x in (1, Fraction(8, 5), Fraction(1618, 1000), Fraction(1619, 1000), 2):
+            assert r.cmp_rational(x) == golden.cmp_rational(x)
+        for q in (GOLDEN, GOLDEN * IntPolynomial([7, 1]), IntPolynomial([-3, 2]),
+                  IntPolynomial([-17, 10]), IntPolynomial([1, 1]), IntPolynomial([0])):
+            assert r.sign_at_root(q) == golden.sign_at_root(q)
+        beta, ref = AlgebraicBeta(poly), AlgebraicBeta(GOLDEN)
+        assert d_of_beta(beta).finiteness == d_of_beta(ref).finiteness
+        assert greedy_digits(beta, 1, 40) == greedy_digits(ref, 1, 40)
+        assert greedy_digits(beta, Fraction(2, 3), 40) == greedy_digits(ref, Fraction(2, 3), 40)
+
+
+class TestFastPaths:
+    """Fail at once if a slow path returns to where it was removed."""
+
+    def test_threshold_compare_never_bisects_for_signs(self, monkeypatch):
+        betas = {k: threshold_beta(k) for k in range(2, 41)}
+
+        def refuse(*args):
+            raise AssertionError("compare ran the interval sign loop")
+
+        monkeypatch.setattr(algebraic, "_interval_eval", refuse)
+        for k in betas:
+            for m in betas:
+                assert betas[k].root.compare(betas[m].root) == sharkovskii_cmp(m, k), (k, m)
+
+    def test_squarefree_threshold_skips_the_gcd(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("squarefree_part ran on a simple root")
+
+        monkeypatch.setattr(algebraic, "squarefree_part", refuse)
+        lo, hi = threshold_beta(1024).interval
+        poly = threshold_poly(1024)
+        assert poly.sign_at(lo) * poly.sign_at(hi) < 0
+
+
+class TestPointIntervals:
+    """A root refined onto a bisection midpoint becomes a point interval;
+    comparing it must still end."""
+
+    def test_point_against_interval_and_point(self):
+        half = IntPolynomial([-3, 2])
+        point = CertifiedRoot(half, 1, 2).refine(Fraction(1, 10))
+        assert point.interval == (Fraction(3, 2), Fraction(3, 2))
+        assert CertifiedRoot(half, 1, 2).compare(point) == 0
+        assert point.compare(CertifiedRoot(half, 1, 2)) == 0
+        assert point.compare(CertifiedRoot(half, Fraction(3, 2), Fraction(3, 2))) == 0
+        # the point's polynomial also vanishes at the other root, 5/4
+        five_quarters = CertifiedRoot(IntPolynomial([-5, 4]), 1, 2)
+        pair = CertifiedRoot(half * IntPolynomial([-5, 4]), Fraction(3, 2), Fraction(3, 2))
+        assert five_quarters.compare(pair) == -1 and pair.compare(five_quarters) == 1
+        assert CertifiedRoot(GOLDEN, 1, 2).compare(point) == 1
 
 
 def test_interval_eval_encloses_true_values():

@@ -48,6 +48,10 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "beta-n", "5", "--eps", "1e-8")
         assert code == 0 and out.strip() == "1.81240"
 
+    def test_beta_n_at_period_1024(self, capsys):
+        code, out, _ = run(capsys, "beta-n", "1024")
+        assert code == 0 and out.strip() == "1.78723"
+
     def test_beta_n_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "beta-n", "2", "--format", "json")
         data = json.loads(out)
@@ -246,6 +250,12 @@ def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env,
     (["check-unique", "--beta", "float:abc", "--seq", "(01)^w"], "cannot parse base: 'float:abc'"),
     (["check-unique", "--beta", "poly:[-1,-1,1]@(1,x)", "--seq", "(01)^w"],
      "cannot parse base: 'poly:[-1,-1,1]@(1,x)'"),
+    (["check-unique", "--beta", "poly:[0]@(1,2)", "--seq", "(01)^w"],
+     "base 'poly:[0]@(1,2)': polynomial vanishes at an isolation endpoint"),
+    (["check-unique", "--beta", "poly:[1,0,1]@(1,2)", "--seq", "(01)^w"],
+     "base 'poly:[1,0,1]@(1,2)': expected exactly one root in (1, 2), found 0"),
+    (["expand", "--beta", "poly:[-1,-1,1]@(2,1)", "--x", "1"],
+     "base 'poly:[-1,-1,1]@(2,1)': empty interval"),
 ])
 def test_malformed_text_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -12,7 +12,7 @@ Library layout:
   certified period thresholds, and the Komornik-Loreti constant.
 - ``trapezoid``: trapezoidal maps, itineraries, the run-start encoding,
   the unimodal order, cycle search, and the extension demonstration.
-- ``oracle``: brute-force verification (necklace exhaustion, threshold
+- ``oracle``: brute-force verification (pruned necklace search, threshold
   recovery by bisection, ordering checks).
 - ``cli``: the ``univoque`` command.
 """

@@ -73,8 +73,8 @@ class BetaValue:
             raise ValueError(f"cannot parse base: {text!r}")
         try:
             return AlgebraicBeta(IntPolynomial(coeffs), lo, hi)
-        except ValueError as exc:  # no single root in the interval
-            raise ValueError(f"base {text!r}: {exc}") from None
+        except (ValueError, PreconditionViolated) as exc:  # no single root, or not in [1, 2]
+            raise type(exc)(f"base {text!r}: {exc}") from None
 
 
 class FloatBeta(BetaValue):

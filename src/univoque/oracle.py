@@ -1,7 +1,8 @@
 """Independent brute-force verification layer.
 
 Everything here deliberately avoids the closed-form constructions it is
-meant to check: periods are searched by exhausting primitive necklaces,
+meant to check: periods are searched by a depth-first walk over
+primitive necklaces that cuts every prefix no unique word extends,
 thresholds are recovered by bisecting a membership predicate over the
 base, and the ordering of thresholds is verified pairwise on certified
 intervals, with no base perturbed and no fallback to a construction.
@@ -31,17 +32,20 @@ from .expansions import (
 )
 from .thresholds import min_extremal_recursive, sharkovskii_cmp, threshold_beta
 from .trapezoid import decode_itinerary, encode_itinerary, unimodal_cmp
-from .words import (  # noqa: F401  (NECKLACE_LIMIT, Necklace re-exported)
+from .words import (  # noqa: F401  (Necklace, primitive_necklaces re-exported)
     EQUAL,
     GREATER,
     LESS,
-    NECKLACE_LIMIT,
     Necklace,
     PeriodicSeq,
     lex_cmp,
     primitive_necklaces,
     shift,
 )
+
+# Largest period the membership search and the bisection oracle accept.
+PERIOD_LIMIT = 32
+
 
 def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
     """Largest sequence among all shifts of s and of its mirror.  They all
@@ -57,23 +61,74 @@ def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
 def exists_period_n_unique(beta, n: int,
                            digit_budget: Optional[int] = None) -> bool:
     """Whether some purely periodic sequence of primitive period n is a
-    unique expansion in the given base, by exhausting necklaces.
+    unique expansion in the given base, by a pruned search over
+    necklaces that stops at the first unique one.
 
-    Each necklace w is tested as is_unique_expansion(beta, (w)^w,
-    digit_budget) would test it, against one bound prefix shared by the
-    whole scan.  A necklace left undecided does not stop the scan; the
-    last such error is raised only when no necklace passes.
+    The search grows the largest rotation of each primitive period-n
+    word symbol by symbol (FKM, alphabet reversed) and tests each
+    complete word w as is_unique_expansion(beta, (w)^w, digit_budget)
+    would test it, against one bound prefix `top` shared by the whole
+    search.  It keeps, for every shift of the prefix so far, whether
+    that shift still ties with `top` or with its mirror `low`, and cuts
+    the prefix when every word below it fails the test without raising:
+    when some shift already lies above `top` (shift 0 of a largest
+    rotation is the largest shift, so it lies above `top` too), or when
+    shift 0 lies below `top` and the first shift not yet above `low`
+    lies below it (no earlier shift can then tie).  Every word the
+    search reaches runs the full test, and every word it cuts would
+    have returned False, so verdicts and undecided errors are those of
+    a scan over all necklaces.  A word left undecided does not stop the
+    search; the last such error is raised only when no word passes.
     """
     beta = as_beta(beta)
-    necklaces = primitive_necklaces(n)
+    if n < 1:
+        raise PreconditionViolated("period must be positive")
+    if n > PERIOD_LIMIT:
+        raise TooLargeError(
+            f"membership search capped at n <= PERIOD_LIMIT = {PERIOD_LIMIT}")
     bound = _BoundPrefix(beta, n, digit_budget)
+    top, low, width = bound.top, bound.low, len(bound.top)
+    word = [0] * n + [1]  # word[-1] = 1 is the symbol FKM copies at t = 0
     undecided = None
-    for neck in necklaces:
-        try:
-            if bound.admits(neck.representative.bits, n):
-                return True
-        except (UndecidedError, UndecidableDigitError) as exc:
-            undecided = exc
+
+    def grow(t: int, p: int, top_ties: list, low_ties: list, low_below: int) -> bool:
+        """Search below word[:t], whose longest prefix that is strictly
+        its own largest rotation has length p.  The ties are the shifts
+        whose part so far equals a prefix of top or of low, and
+        low_below is the first shift below low (n if none)."""
+        nonlocal undecided
+        if t == n:
+            if p < n:  # a power of a shorter word
+                return False
+            try:
+                return bound.admits(tuple(word[:n]), n)
+            except (UndecidedError, UndecidableDigitError) as exc:
+                undecided = exc
+                return False
+        for c, q in ((1, p), (0, t + 1)) if word[t - p] else ((0, p),):
+            word[t] = c
+            tops = []
+            for j in top_ties + [t]:
+                if t - j >= width or c == top[t - j]:
+                    tops.append(j)
+                elif c:
+                    break  # shift j lies above top
+            else:
+                lows, below = [], low_below
+                for j in low_ties + [t]:
+                    if t - j >= width or c == low[t - j]:
+                        lows.append(j)
+                    elif not c:
+                        below = min(below, j)
+                zero_below_top = not tops or tops[0] > 0
+                if zero_below_top and below < (lows[0] if lows else n):
+                    continue
+                if grow(t + 1, q, tops, lows, below):
+                    return True
+        return False
+
+    if grow(0, 1, [], [], n):
+        return True
     if undecided is not None:
         raise undecided
     return False
@@ -84,17 +139,20 @@ def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
     n, recovered by bisection over the base without using the extremal
     sequence construction.
 
-    All candidates share one float base per point, which is never
-    perturbed: an undecided point raises UndecidedError.  eps >= 2^-50
-    keeps every midpoint strictly inside its bracket.  The predicate is
-    monotone because the bases admitting period n form an upward-closed
-    interval; a spot check still samples it at 8 points and warns on any
-    anomaly rather than trusting silently.
+    Each point runs exists_period_n_unique, whose pruned search keeps
+    n up to PERIOD_LIMIT affordable; its candidates share one float
+    base per point, which is never perturbed: an undecided point raises
+    UndecidedError.  eps >= 2^-50 keeps every midpoint strictly inside
+    its bracket.  The predicate is monotone because the bases admitting
+    period n form an upward-closed interval; a spot check still samples
+    it at 8 points and warns on any anomaly rather than trusting
+    silently.
     """
     if n < 2:
         raise PreconditionViolated("periods start at 2")
-    if n > 16:
-        raise TooLargeError("bisection oracle capped at n = 16")
+    if n > PERIOD_LIMIT:
+        raise TooLargeError(
+            f"bisection oracle capped at n <= PERIOD_LIMIT = {PERIOD_LIMIT}")
     if not eps >= 2.0 ** -50:
         raise PreconditionViolated(f"eps must be at least 2^-50, got {eps}")
     budget = 4 * n + 96

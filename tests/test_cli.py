@@ -256,6 +256,8 @@ def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env,
      "base 'poly:[1,0,1]@(1,2)': expected exactly one root in (1, 2), found 0"),
     (["expand", "--beta", "poly:[-1,-1,1]@(2,1)", "--x", "1"],
      "base 'poly:[-1,-1,1]@(2,1)': empty interval"),
+    (["check-unique", "--beta", "poly:[-1,-1,1]@(0,2)", "--seq", "(01)^w"],
+     "base 'poly:[-1,-1,1]@(0,2)': isolating interval must lie inside [1, 2]"),
 ])
 def test_malformed_text_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from univoque import oracle, words
 from univoque.errors import (
     PreconditionViolated,
     TooLargeError,
@@ -130,6 +131,39 @@ class TestExistence:
                     assert (exists_period_n_unique(beta, n, budget)
                             == self.by_definition(beta, n, budget)), (k, n, budget)
 
+    def test_matches_per_necklace_definition_at_random_bases(self):
+        rng = random.Random(SEED)
+        outcomes = set()
+        for _ in range(120):
+            b, n = rng.uniform(1.5, 2.0), rng.randint(1, 14)
+            budget = rng.choice((None, 1, 4, 12, 40))
+            got = self.outcome(exists_period_n_unique, FloatBeta(b), n, budget)
+            want = self.outcome(self.by_definition, FloatBeta(b), n, budget)
+            assert got == want, (b, n, budget)
+            outcomes.add(got if isinstance(got, bool) else got[0])
+        assert {True, False} <= outcomes and len(outcomes) > 2
+
+    def test_guards_name_the_cap(self):
+        with pytest.raises(PreconditionViolated):
+            exists_period_n_unique(FloatBeta(1.9), 0)
+        with pytest.raises(TooLargeError, match="PERIOD_LIMIT = 32"):
+            exists_period_n_unique(FloatBeta(1.9), 33)
+        assert exists_period_n_unique(FloatBeta(1.9), 32) is True
+
+
+class TestFastPaths:
+    """Fail at once if the oracle goes back to listing every necklace."""
+
+    def test_membership_never_lists_necklaces(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the oracle listed all primitive necklaces")
+
+        monkeypatch.setattr(oracle, "primitive_necklaces", refuse)
+        monkeypatch.setattr(words, "primitive_necklaces", refuse)
+        assert exists_period_n_unique(FloatBeta(1.8), 3) is False
+        assert exists_period_n_unique(FloatBeta(1.9), 20) is True
+        assert abs(min_beta_for_period(5, 1e-7).value - 1.8124) < 1e-4
+
 
 class TestMinBeta:
     def test_golden_for_period_two(self):
@@ -150,8 +184,15 @@ class TestMinBeta:
     def test_guards(self):
         with pytest.raises(PreconditionViolated):
             min_beta_for_period(1)
-        with pytest.raises(TooLargeError):
-            min_beta_for_period(17)
+        with pytest.raises(TooLargeError, match="PERIOD_LIMIT = 32"):
+            min_beta_for_period(33)
+
+    @pytest.mark.parametrize("n", [17, 24, 31, 32])
+    def test_brackets_the_certified_threshold_up_to_the_cap(self, n):
+        mb = min_beta_for_period(n, 1e-6)
+        value, eps = Fraction(mb.value), Fraction(1e-6)
+        root = threshold_beta(n, 1e-12).root
+        assert root.cmp_rational(value - eps) > 0 and root.cmp_rational(value + eps) < 0
 
     @pytest.mark.parametrize("eps", [0.0, 1e-17, math.nan])
     def test_rejects_eps_too_fine_for_float_midpoints(self, eps):

@@ -53,7 +53,6 @@ from .oracle import (
     verify_ordering,
 )
 from .thresholds import (
-    MINIMAL_POLYS,
     SharkovskiiKey,
     below_komornik_loreti,
     decompose,

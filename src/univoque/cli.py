@@ -117,17 +117,11 @@ def cmd_table(args, out) -> int:
             raise UndecidedError(f"expansion of 1 for threshold {n} not finite "
                                  f"within budget", exp.budget)
         digits = str(exp.prefix(kind[1]))
-        defining = thresholds.threshold_poly(n)
-        known = thresholds.MINIMAL_POLYS.get(n)
-        if known is not None and known.divides(defining):
-            minimal = poly_str(known)
-        else:
-            minimal = poly_str(thresholds.reduced_poly(n))
         rows.append({
             "n": n,
             "d_beta_n": digits,
-            "defining_poly": poly_str(defining),
-            "minimal_poly_if_divides": minimal,
+            "defining_poly": poly_str(thresholds.threshold_poly(n)),
+            "minimal_poly_if_divides": poly_str(thresholds.reduced_poly(n)),
             "beta_n": f"{float(beta):.5f}",
             "below_KL": "yes" if thresholds.below_komornik_loreti(n) else "no",
         })
@@ -289,8 +283,8 @@ def cmd_conjecture_2n(args, out) -> int:
     center = float(thresholds.threshold_beta(length, 1e-10))
     lo = args.beta_min if args.beta_min is not None else center - 0.02
     hi = args.beta_max if args.beta_max is not None else center + 0.02
-    out.write(f"# first {length}-cycle scan; threshold for period {length} "
-              f"at {center:.6f}\n")
+    lines = [f"# first {length}-cycle scan; threshold for period {length} "
+             f"at {center:.6f}\n"]  # written only once every row succeeded
     for i in range(args.steps):
         b = lo + (hi - lo) * i / (args.steps - 1) if args.steps > 1 else lo
         params = trapezoid.as_params(b)
@@ -309,8 +303,9 @@ def cmd_conjecture_2n(args, out) -> int:
                 x = trapezoid.trapezoid_map(params, x)
         except UnivoqueError:
             c_len = "?"
-        out.write(f"beta={b:.6f} lr_{length}cycle={lr} "
-                  f"plateau_cycle_len={c_len}\n")
+        lines.append(f"beta={b:.6f} lr_{length}cycle={lr} "
+                     f"plateau_cycle_len={c_len}\n")
+    out.write("".join(lines))
     return 0
 
 

@@ -465,7 +465,14 @@ class _BoundPrefix:
         _check_budget(digit_budget)
         budget = digit_budget or 4 * q + 64
         exp = d_of_beta(beta)
-        bound = quasi_greedy(beta) if exp.finiteness[0] == "finite" else exp.as_periodic_seq()
+        # one verdict only: each retry steps into an undecidable digit again
+        kind = exp.finiteness[0]
+        if kind == "finite":
+            bound = quasi_greedy(beta)
+        elif kind == "infinite":
+            bound = exp.as_periodic_seq()
+        else:
+            bound = None
         if bound is not None:
             self.top = bound._head(len(bound.preperiod) + len(bound.period) + q)
             self.exp = None

@@ -5,11 +5,15 @@ periodic expansion of primitive period k exists.  That threshold is the
 root in (1, 2) of an integer polynomial built from the lexicographically
 least extremal sequence of period k, which this module constructs in two
 independent ways: by iterating the doubling map, and in closed form from
-Thue-Morse fragments.  The thresholds are certified polynomial roots and
-their order matches the Sharkovskii order on periods; the accumulation
-point of the power-of-two thresholds is the Komornik-Loreti constant,
-computed here by certified bisection with a rigorous series tail bound
-and compared with each threshold exactly, on words.
+Thue-Morse fragments.  Its reduced form divides out the cyclotomic factor
+C_k = (x^(2^(n-1)) - 1) / (x - 1) of k = 2^n * odd and, at k = 7 only,
+x + 1; that is the minimal polynomial for every k <= 96 by a one-off
+factorisation, not certified at run time.  The thresholds are certified
+polynomial roots and their order matches the Sharkovskii order on
+periods; the accumulation point of the power-of-two thresholds is the
+Komornik-Loreti constant, computed here by certified bisection with a
+rigorous series tail bound and compared with each threshold exactly, on
+words.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import IntPolynomial, squarefree_part
+from .algebraic import IntPolynomial
 from .errors import PreconditionViolated
 from .expansions import AlgebraicBeta, FloatBeta, _base_poly, solve_base
 from .words import (
@@ -132,41 +136,25 @@ def threshold_beta(k: int, eps: float = 1e-8) -> AlgebraicBeta:
 
 
 def reduced_poly(k: int) -> IntPolynomial:
-    """Squarefree part of the defining polynomial with rational linear
-    factors stripped.  The threshold root survives (it is irrational),
-    but the result is not guaranteed minimal."""
-    p = squarefree_part(threshold_poly(k))
-    while p.coeffs[0] == 0 and p.degree > 0:
-        p = IntPolynomial(p.coeffs[1:])
-    changed = True
-    while changed and p.degree > 1:
-        changed = False
-        const = abs(p.coeffs[0])
-        for d in range(1, const + 1):
-            if const % d:
-                continue
-            for r in (d, -d):
-                cand = IntPolynomial((-r, 1))
-                if cand.divides(p):
-                    p = p.exact_div(cand)
-                    changed = True
-                    break
-            if changed:
-                break
+    """The defining polynomial of the k-th threshold with its known
+    cyclotomic and linear factors divided out.
+
+    For k = 2^n * odd with n >= 2, threshold_poly(k) is divisible by
+    C_k = (x^(2^(n-1)) - 1) / (x - 1) = 1 + x + ... + x^(2^(n-1) - 1);
+    the division is exact and raises if that ever fails.  The constant
+    term is then -1, so x + 1 and x - 1 are the only possible linear
+    factors.  x - 1 never divides: the value at 1 is minus the number of
+    ones in the period word, divided by C_k(1).  x + 1 is removed while
+    it divides, which happens only at k = 7.  The result is the minimal
+    polynomial for every k <= 96, by a one-off factorisation;
+    irreducibility is not certified at run time."""
+    p = threshold_poly(k)
+    n = decompose(k).n
+    if n >= 2:
+        p = p.exact_div(IntPolynomial((1,) * (1 << (n - 1))))
+    while p(-1) == 0:
+        p = p.exact_div(IntPolynomial((1, 1)))
     return p
-
-
-# Known minimal polynomials of the first thresholds (constant term first),
-# used by the table command and cross-checked by divisibility at runtime.
-MINIMAL_POLYS: dict[int, IntPolynomial] = {
-    2: IntPolynomial([-1, -1, 1]),
-    3: IntPolynomial([-1, -1, -1, 1]),
-    4: IntPolynomial([-1, 1, -2, 1]),
-    5: IntPolynomial([-1, -1, 0, -1, -1, 1]),
-    6: IntPolynomial([-1, 0, -1, 0, -1, -1, 1]),
-    7: IntPolynomial([-1, 0, 0, -1, 1, -2, 1]),
-    8: IntPolynomial([-1, 0, 1, 0, -2, 1]),
-}
 
 
 _KL_LOCK = threading.Lock()

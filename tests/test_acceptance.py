@@ -20,14 +20,13 @@ from univoque.expansions import (
 )
 from univoque.oracle import min_beta_for_period, primitive_necklaces, verify_ordering
 from univoque.thresholds import (
-    MINIMAL_POLYS,
     below_komornik_loreti,
     kl_bracket,
     komornik_loreti,
     min_extremal_explicit,
     min_extremal_recursive,
+    reduced_poly,
     threshold_beta,
-    threshold_poly,
 )
 from univoque.trapezoid import (
     Itinerary,
@@ -53,7 +52,7 @@ from univoque.words import (
     split_halfmirror,
     thue_morse,
 )
-from util import SEED, extremal_members, primitive_words
+from util import PAPER_MINIMAL_POLYS, SEED, extremal_members, primitive_words
 
 TABLE = {
     2: ("11", 1.61803, True),
@@ -78,7 +77,7 @@ def test_table_reproduction():
         exp = d_of_beta(beta)
         assert exp.finiteness == ("finite", len(digits)), n
         assert str(exp.prefix(len(digits))) == digits, n
-        assert MINIMAL_POLYS[n].divides(threshold_poly(n)), n
+        assert reduced_poly(n) == PAPER_MINIMAL_POLYS[n], n
         assert below_komornik_loreti(n) == below, n
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"table took {elapsed:.2f}s"

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,16 @@ TABLE_CSV = """n,d_beta_n,defining_poly,minimal_poly_if_divides,beta_n,below_KL
 8,11010011,x^8-x^7-x^6-x^4-x-1,x^5-2x^4+x^2-1,1.78460,yes
 """
 
+TABLE_24_ROWS = {
+    16: "16,1101001100101101,x^16-x^15-x^14-x^12-x^9-x^8-x^5-x^3-x^2-1,"
+        "x^9-2x^8+x^6-x^5+x^4-x^2+x-1,1.78721,yes",
+    24: "24,110100110010110100101101,"
+        "x^24-x^23-x^22-x^20-x^17-x^16-x^13-x^11-x^10-x^8-x^5-x^3-x^2-1,"
+        "x^21-2x^20+x^18-x^16-x^10+x^9-x^8-x^2+x-1,1.78723,no",
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -30,6 +41,17 @@ class TestTable:
         code, out, _ = run(capsys, "table", "8", "--format", "csv")
         assert code == 0
         assert out.replace("\r\n", "\n") == TABLE_CSV
+
+    def test_readme_block_matches_reference(self):
+        text = README.read_text()
+        start = text.index(TABLE_CSV.splitlines()[0])
+        assert text[start:text.index("```", start)] == TABLE_CSV
+
+    def test_minimal_degrees_past_the_paper_table(self, capsys):
+        code, out, _ = run(capsys, "table", "24", "--format", "csv")
+        rows = {int(line.split(",")[0]): line for line in out.splitlines()[1:]}
+        assert code == 0
+        assert {k: rows[k] for k in TABLE_24_ROWS} == TABLE_24_ROWS
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "table", "5", "--format", "json")
@@ -165,6 +187,7 @@ class TestOutputGates:
     @pytest.mark.parametrize("argv", [
         ["orbit", "--beta", "float:1.8", "--x", "1e300", "--map", "F"],
         ["orbit", "--beta", "float:1.8", "--x", "0.3", "--map", "F"],  # gap after five steps
+        ["conjecture-2n", "--n", "1", "--steps", "3", "--beta-max", "2.5"],  # second row above 2
     ])
     def test_failed_orbit_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, *argv)

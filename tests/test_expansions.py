@@ -18,6 +18,8 @@ from univoque.expansions import (
     AlgebraicBeta,
     BetaValue,
     FloatBeta,
+    GreedyExpansion,
+    _BoundPrefix,
     d_of_beta,
     expansion_value,
     greedy_digits,
@@ -387,6 +389,20 @@ class TestUniquenessNearThresholds:
                         assert got == want, (b, s, budget)
                         seen.add(want if isinstance(want, bool) else want[0])
         assert seen == {True, False, UndecidedError, UndecidableDigitError}
+
+    def test_fresh_float_bound_extends_the_orbit_at_most_twice(self, monkeypatch):
+        # each extension steps into the undecidable digit once more
+        calls = []
+        extend = GreedyExpansion._extend_to
+
+        def counting(exp, n):
+            calls.append(n)
+            return extend(exp, n)
+
+        monkeypatch.setattr(GreedyExpansion, "_extend_to", counting)
+        bound = _BoundPrefix(FloatBeta(1.87), 2, None)
+        assert len(calls) <= 2
+        assert bound.exp is not None and bound.exp.finiteness[0] == "unknown"
 
     def test_exact_bounds_match_lcm_bound_reference(self):
         # exact bases whose expansion of 1 is finite (the thresholds) or

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from univoque import algebraic
 from univoque.algebraic import IntPolynomial, poly_str
 from univoque.errors import PreconditionViolated
 from univoque.expansions import quasi_greedy, solve_base
 from univoque.thresholds import (
-    MINIMAL_POLYS,
     SharkovskiiKey,
     below_komornik_loreti,
     decompose,
@@ -22,7 +22,7 @@ from univoque.thresholds import (
     threshold_poly,
 )
 from univoque.words import EQUAL, GREATER, LESS, PeriodicSeq, is_extremal, lex_cmp
-from util import SEED
+from util import PAPER_MINIMAL_POLYS, SEED
 
 TABLE_VALUES = {2: 1.61803, 3: 1.83929, 4: 1.75488, 5: 1.81240,
                 6: 1.78854, 7: 1.80509, 8: 1.78460}
@@ -105,11 +105,11 @@ class TestThresholdPolynomials:
         assert poly_str(threshold_poly(4)) == "x^4-x^3-x^2-1"
 
     def test_factorization_of_k4(self):
-        assert IntPolynomial([1, 1]) * MINIMAL_POLYS[4] == threshold_poly(4)
+        assert IntPolynomial([1, 1]) * PAPER_MINIMAL_POLYS[4] == threshold_poly(4)
 
-    def test_known_minimal_polys_divide(self):
-        for n, minimal in MINIMAL_POLYS.items():
-            assert minimal.divides(threshold_poly(n)), n
+    def test_reduced_poly_is_the_paper_minimal_poly(self):
+        for n, minimal in PAPER_MINIMAL_POLYS.items():
+            assert reduced_poly(n) == minimal, n
 
     def test_matches_base_equation_of_extremal_sequence(self):
         for k in range(2, 20):
@@ -127,6 +127,33 @@ class TestThresholdPolynomials:
     def test_requires_k_at_least_2(self):
         with pytest.raises(PreconditionViolated):
             threshold_poly(1)
+
+
+class TestReducedPoly:
+    def test_minimal_degrees(self):
+        degrees = {k: reduced_poly(k).degree for k in (8, 16, 24, 32, 40)}
+        assert degrees == {8: 5, 16: 9, 24: 21, 32: 17, 40: 37}
+
+    def test_cyclotomic_factorization(self):
+        # threshold_poly(k) = C_k * M_k with C_k = (x^(2^(n-1)) - 1) / (x - 1)
+        # for k = 2^n * odd, n >= 2; M_7 alone keeps a factor x + 1
+        for k in range(2, 65):
+            n = decompose(k).n
+            product = IntPolynomial([1] * (1 << (n - 1)) if n >= 2 else [1])
+            if k == 7:
+                product = product * IntPolynomial([1, 1])
+            assert product * reduced_poly(k) == threshold_poly(k), k
+
+    def test_takes_no_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reduced_poly took a gcd")
+
+        monkeypatch.setattr(algebraic, "squarefree_part", refuse)
+        monkeypatch.setattr(algebraic, "poly_gcd", refuse)
+        with pytest.raises(PreconditionViolated):
+            reduced_poly(1)
+        for k in range(2, 41):
+            assert reduced_poly(k).degree >= 2, k
 
 
 class TestThresholdValues:

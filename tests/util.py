@@ -7,11 +7,24 @@ import random
 from functools import lru_cache
 from itertools import product
 
+from univoque.algebraic import IntPolynomial
 from univoque.words import EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root, is_extremal
 from univoque.expansions import as_beta, expansion_value, is_parry_admissible
 from univoque.trapezoid import BOUNDARY_TOL, Itinerary
 
 SEED = 20260810
+
+# Minimal polynomials of the first thresholds as the paper's table lists
+# them (constant term first).
+PAPER_MINIMAL_POLYS = {
+    2: IntPolynomial([-1, -1, 1]),
+    3: IntPolynomial([-1, -1, -1, 1]),
+    4: IntPolynomial([-1, 1, -2, 1]),
+    5: IntPolynomial([-1, -1, 0, -1, -1, 1]),
+    6: IntPolynomial([-1, 0, -1, 0, -1, -1, 1]),
+    7: IntPolynomial([-1, 0, 0, -1, 1, -2, 1]),
+    8: IntPolynomial([-1, 0, 1, 0, -2, 1]),
+}
 
 
 def random_purely_periodic(rng: random.Random, max_period: int) -> PeriodicSeq:

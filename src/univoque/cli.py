@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -105,6 +105,24 @@ def _emit_rows(args, rows: list[dict], out) -> None:
             out.write("  ".join(str(r[k]).ljust(widths[k]) for k in r).rstrip() + "\n")
 
 
+def _emit_root(args, out, beta, index: str, key: str) -> int:
+    """Print a certified root to 5 decimals, or as JSON under the period
+    `index` (read from args) and `key`, with its polynomial and interval.
+    The interval is read first: float(beta) refines it."""
+    if args.format == "json":
+        lo, hi = beta.interval
+        out.write(json.dumps({
+            index: getattr(args, index),
+            key: f"{float(beta):.10f}",
+            "poly": poly_str(beta.poly),
+            "lo": str(lo),
+            "hi": str(hi),
+        }, indent=2) + "\n")
+    else:
+        out.write(f"{float(beta):.5f}\n")
+    return 0
+
+
 def cmd_table(args, out) -> int:
     if args.n_max < 2:
         raise PreconditionViolated("the table starts at period 2")
@@ -120,7 +138,7 @@ def cmd_table(args, out) -> int:
         rows.append({
             "n": n,
             "d_beta_n": digits,
-            "defining_poly": poly_str(thresholds.threshold_poly(n)),
+            "defining_poly": poly_str(beta.poly),
             "minimal_poly_if_divides": poly_str(thresholds.reduced_poly(n)),
             "beta_n": f"{float(beta):.5f}",
             "below_KL": "yes" if thresholds.below_komornik_loreti(n) else "no",
@@ -130,19 +148,7 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_beta_n(args, out) -> int:
-    beta = thresholds.threshold_beta(args.k, args.eps)
-    if args.format == "json":
-        lo, hi = beta.interval
-        out.write(json.dumps({
-            "k": args.k,
-            "beta": f"{float(beta):.10f}",
-            "poly": poly_str(beta.poly),
-            "lo": str(lo),
-            "hi": str(hi),
-        }, indent=2) + "\n")
-    else:
-        out.write(f"{float(beta):.5f}\n")
-    return 0
+    return _emit_root(args, out, thresholds.threshold_beta(args.k, args.eps), "k", "beta")
 
 
 def cmd_a_k(args, out) -> int:
@@ -253,19 +259,7 @@ def cmd_kl(args, out) -> int:
 
 
 def cmd_q_n(args, out) -> int:
-    beta = thresholds.greedy_threshold(args.n, args.eps)
-    if args.format == "json":
-        lo, hi = beta.interval
-        out.write(json.dumps({
-            "n": args.n,
-            "q_n": f"{float(beta):.10f}",
-            "poly": poly_str(beta.poly),
-            "lo": str(lo),
-            "hi": str(hi),
-        }, indent=2) + "\n")
-    else:
-        out.write(f"{float(beta):.5f}\n")
-    return 0
+    return _emit_root(args, out, thresholds.greedy_threshold(args.n, args.eps), "n", "q_n")
 
 
 def cmd_conjecture_2n(args, out) -> int:
@@ -321,14 +315,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process on first use."""
     parser = _Parser(prog="univoque",
                      description="Unique expansions in non-integer bases: "
                                  "thresholds, extremal sequences, and "
                                  "trapezoidal map dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default is converted, and checked, only by the subcommand run
-    default_eps = os.environ.get("UNIVOQUE_EPS", "1e-8")
 
     def add(name, func, help_text, formats=()):
         p = sub.add_parser(name, help=help_text)
@@ -339,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("table", cmd_table, "threshold table for periods 2..N", ("csv", "json"))
     p.add_argument("n_max", type=int)
-    p.add_argument("--eps", type=_eps, default=default_eps)
+    p.add_argument("--eps", type=_eps, default=1e-8)
 
     p = add("beta-n", cmd_beta_n, "certified threshold for period k", ("json",))
     p.add_argument("k", type=int)
-    p.add_argument("--eps", type=_eps, default=default_eps)
+    p.add_argument("--eps", type=_eps, default=1e-8)
 
     p = add("a-k", cmd_a_k, "least extremal sequence of period k", ("json",))
     p.add_argument("k", type=int)
@@ -385,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("q-n", cmd_q_n, "plain greedy period threshold root", ("json",))
     p.add_argument("n", type=int)
-    p.add_argument("--eps", type=_eps, default=default_eps)
+    p.add_argument("--eps", type=_eps, default=1e-8)
 
     p = add("conjecture-2n", cmd_conjecture_2n,
             "experiment: scan for the first 2^n cycle near its threshold")
@@ -403,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except UndecidedError as exc:

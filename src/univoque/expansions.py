@@ -84,7 +84,7 @@ class FloatBeta(BetaValue):
         value = float(value)
         if not 1.0 < value < 2.0:
             raise PreconditionViolated(f"base must lie strictly inside (1, 2), got {value}")
-        if tolerance <= 0:
+        if not tolerance > 0:  # NaN too: it would switch off every band check
             raise ValueError("tolerance must be positive")
         self.value = value
         self.tolerance = tolerance
@@ -243,6 +243,7 @@ class GreedyExpansion:
         self._lock = threading.RLock()
         self._finite_at: Optional[int] = None
         self._cycle: Optional[tuple[int, int]] = None
+        self._stuck = False  # a float digit failed; its orbit state did not move
         if isinstance(beta, AlgebraicBeta):
             self._orbit = _AlgebraicOrbit(beta, Fraction(1))
             self._seen = {self._orbit.coeffs: 0}
@@ -283,12 +284,15 @@ class GreedyExpansion:
         return BinaryWord(self._digits[:n])
 
     def _certified_prefix(self, n: int) -> tuple[int, ...]:
-        """Up to n digits, ending before the first undecidable one."""
+        """Up to n digits, ending before the first undecidable one.  Once
+        a digit has failed, later calls do not step again: the orbit
+        state is unchanged, so the step would fail the same way."""
         with self._lock:
-            try:
-                self._extend_to(n)
-            except UndecidableDigitError:
-                pass
+            if not self._stuck:
+                try:
+                    self._extend_to(n)
+                except UndecidableDigitError:
+                    self._stuck = True
             return tuple(self._digits[:n])
 
     @property

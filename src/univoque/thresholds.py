@@ -186,10 +186,13 @@ def _kl_sign(x: Fraction) -> int:
 
 def kl_bracket(eps) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the Komornik-Loreti constant,
-    narrower than eps.  Brackets only ever shrink across calls."""
+    narrower than eps >= 2^-100.  Brackets only ever shrink across calls."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if eps < Fraction(1, 2 ** 100):  # the series sign costs more at each halving
+        raise PreconditionViolated(f"eps must be at least 2^-100 (about 7.9e-31), "
+                                   f"got {float(eps):.3g}")
     with _KL_LOCK:
         lo, hi = _KL_STATE
         while hi - lo >= eps:

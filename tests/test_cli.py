@@ -1,9 +1,16 @@
+import argparse
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from univoque import cli
 from univoque.cli import main
 from univoque.trapezoid import Itinerary
 from univoque.words import PeriodicSeq
@@ -231,26 +238,26 @@ class TestExitCodes:
         assert "--format" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("env, argv", [
-    (None, ["beta-n", "5", "--eps", "inf"]),
-    (None, ["table", "3", "--eps", "inf"]),
-    (None, ["q-n", "3", "--eps", "inf"]),
-    (None, ["kl", "--eps", "inf"]),
-    (None, ["beta-n", "5", "--eps", "0"]),
-    (None, ["kl", "--eps", "nan"]),
-    ("abc", ["beta-n", "5"]),
-    (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "0"]),
-    (None, ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "-5"]),
-    (None, ["expand", "--beta", "float:1.8", "--x", "1/0"]),
-    (None, ["orbit", "--beta", "float:1.8", "--x", "1/0"]),
-    (None, ["check-unique", "--beta", "poly:[-1,-1,1]@(1/0,2)", "--seq", "(01)^w"]),
-    (None, ["expand", "--beta", "float:1.8", "--x", "1e400"]),
-])
-def test_malformed_input_is_rejected_without_traceback(capsys, monkeypatch, env, argv):
-    if env is None:
-        monkeypatch.delenv("UNIVOQUE_EPS", raising=False)
-    else:
-        monkeypatch.setenv("UNIVOQUE_EPS", env)
+# The ids are the names these cases had when each also carried an
+# environment value; argv6 was the case that needed one.
+MALFORMED_INPUT = {
+    "None-argv0": ["beta-n", "5", "--eps", "inf"],
+    "None-argv1": ["table", "3", "--eps", "inf"],
+    "None-argv2": ["q-n", "3", "--eps", "inf"],
+    "None-argv3": ["kl", "--eps", "inf"],
+    "None-argv4": ["beta-n", "5", "--eps", "0"],
+    "None-argv5": ["kl", "--eps", "nan"],
+    "None-argv7": ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "0"],
+    "None-argv8": ["check-unique", "--beta", "float:1.9", "--seq", "(01)^w", "--budget", "-5"],
+    "None-argv9": ["expand", "--beta", "float:1.8", "--x", "1/0"],
+    "None-argv10": ["orbit", "--beta", "float:1.8", "--x", "1/0"],
+    "None-argv11": ["check-unique", "--beta", "poly:[-1,-1,1]@(1/0,2)", "--seq", "(01)^w"],
+    "None-argv12": ["expand", "--beta", "float:1.8", "--x", "1e400"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT.keys())
+def test_malformed_input_is_rejected_without_traceback(capsys, argv):
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejections
@@ -301,16 +308,71 @@ def test_counts_that_mean_nothing_are_rejected(capsys, argv, condition):
     assert err.startswith("error: ") and condition in err
 
 
-def test_env_eps_is_read_only_by_commands_that_take_eps(capsys, monkeypatch):
-    monkeypatch.setenv("UNIVOQUE_EPS", "abc")
-    code, out, _ = run(capsys, "a-k", "5", "--method", "recursive")
-    assert code == 0 and out.strip() == "(11010)^w"
+def test_kl_refuses_eps_below_its_floor():
+    # a subprocess, so that a regression to an endless bisection fails
+    # on the timeout instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "univoque.cli", "kl", "--eps", "1e-300"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "2^-100" in proc.stderr
 
 
-def test_env_var_overrides_default_eps(capsys, monkeypatch):
-    monkeypatch.setenv("UNIVOQUE_EPS", "1e-4")
+@pytest.mark.parametrize("value", ["1e-4", "abc"])
+def test_environment_does_not_set_eps(capsys, monkeypatch, value):
+    monkeypatch.setenv("UNIVOQUE_EPS", value)
     code, out, _ = run(capsys, "beta-n", "2", "--format", "json")
     data = json.loads(out)
-    from fractions import Fraction
-    width = Fraction(data["hi"]) - Fraction(data["lo"])
-    assert code == 0 and width < Fraction(1, 10 ** 3)
+    assert code == 0
+    assert Fraction(data["hi"]) - Fraction(data["lo"]) < Fraction(1, 10 ** 8)
+
+
+def _subcommands() -> dict:
+    """The shared parser's subcommand parsers, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _documented_commands() -> list[list[str]]:
+    """Every `univoque ...` line of README's command block and of the
+    CLI module docstring, as argv lists."""
+    text = README.read_text()
+    block = text[text.index("```text", text.index("## Command line")):]
+    lines = block[:block.index("```", 3)].splitlines() + cli.__doc__.splitlines()
+    # README lines end in a description set off by two or more spaces
+    return [shlex.split(re.split(r"\s{2,}", line.strip())[0])[1:]
+            for line in lines if line.strip().startswith("univoque ")]
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Counts `_Parser` constructions; returns the count list and the
+    number of parsers in one command tree."""
+    tree = 1 + len(_subcommands())
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return built, tree
+
+
+def test_documented_commands_run(capsys, parser_builds):
+    commands = _documented_commands()
+    assert len(commands) == 26
+    assert {argv[0] for argv in commands} == set(_subcommands())
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    built, tree = parser_builds
+    assert len(built) <= tree
+
+
+def test_main_builds_at_most_one_parser_tree(capsys, parser_builds):
+    for _ in range(3):
+        assert run(capsys, "check-unique", "--beta", "float:1.9", "--seq", "(01)^w")[0] == 0
+    built, tree = parser_builds
+    assert len(built) <= tree

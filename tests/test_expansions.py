@@ -20,6 +20,7 @@ from univoque.expansions import (
     FloatBeta,
     GreedyExpansion,
     _BoundPrefix,
+    _FloatOrbit,
     d_of_beta,
     expansion_value,
     greedy_digits,
@@ -57,6 +58,11 @@ class TestBetaValue:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             BetaValue.parse("sqrt:2")
+
+    def test_rejects_nan_tolerance(self):
+        # a NaN band would make every undecidable-digit check pass
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            FloatBeta(1.6180339887498949, tolerance=math.nan)
 
 
 class TestGreedyDigits:
@@ -108,6 +114,20 @@ class TestExpansionOfOne:
         exp = d_of_beta(FloatBeta(1.9), budget=64)
         assert exp.finiteness == ("unknown", 64)
         assert str(exp.prefix(5)) == "11101"
+
+    def test_unknown_verdict_is_read_again_without_stepping(self, monkeypatch):
+        steps = []
+        step = _FloatOrbit.step
+        monkeypatch.setattr(_FloatOrbit, "step", lambda orbit: steps.append(1) or step(orbit))
+        exp = d_of_beta(FloatBeta(1.87))
+        assert exp.finiteness == ("unknown", exp.budget)
+        steps.clear()
+        assert exp.finiteness == ("unknown", exp.budget)
+        assert steps == []
+        # a larger budget still extends an exact orbit past an unknown verdict
+        beta = threshold_beta(24)
+        assert d_of_beta(beta, budget=5).finiteness == ("unknown", 5)
+        assert d_of_beta(beta, budget=64).finiteness == ("finite", 24)
 
     def test_infinite_detected_by_orbit_cycle(self):
         # base with expansion of one equal to 1 then 10 repeating

@@ -24,6 +24,17 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
+def _sign(coeffs: Sequence[int], p: int, q: int) -> int:
+    """Exact sign of the polynomial at p / q, q > 0, by one integer Horner:
+    value * q^deg = sum_i c_i p^i q^(deg - i) has the same sign."""
+    total = 0
+    qpow = 1
+    for c in reversed(coeffs):
+        total = total * p + c * qpow
+        qpow *= q
+    return (total > 0) - (total < 0)
+
+
 class IntPolynomial:
     """Univariate polynomial with integer coefficients, constant term first."""
 
@@ -54,19 +65,9 @@ class IntPolynomial:
         return acc
 
     def sign_at(self, x: Fraction) -> int:
-        """Exact sign of the value at a rational point (integer arithmetic).
-
-        Computes value * q^deg = sum_i c_i p^i q^(deg - i) for x = p / q,
-        which has the same sign as the value since q > 0.
-        """
+        """Exact sign of the value at a rational point (integer arithmetic)."""
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        total = 0
-        qpow = 1
-        for c in reversed(self._coeffs):
-            total = total * p + c * qpow
-            qpow *= q
-        return (total > 0) - (total < 0)
+        return _sign(self._coeffs, x.numerator, x.denominator)
 
     def derivative(self) -> "IntPolynomial":
         if self.degree == 0:
@@ -211,43 +212,36 @@ def _sign_variations(coeffs: Sequence[int]) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if (x < 0) != (y < 0))
 
 
-def _taylor_shift_1(coeffs: Sequence[int]) -> list[int]:
-    """Coefficients of P(x + 1), in place synthetic additions."""
+def _taylor_shift(coeffs: Sequence[int], alpha: int) -> list[int]:
+    """Coefficients of P(x + alpha), in place synthetic additions."""
     c = list(coeffs)
     d = len(c) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            c[j] += c[j + 1]
+            c[j] += alpha * c[j + 1]
     return c
 
 
 def _map_unit_interval(p: IntPolynomial, a: Fraction, b: Fraction) -> list[int]:
     """Integer coefficients of a polynomial whose roots in (0,1) are
-    exactly the roots of p in (a, b), via x = a + (b - a) t and clearing
-    denominators (Horner, one linear multiply per step)."""
+    exactly the roots of p in (a, b): den^deg * p(a + (b - a) t), where
+    a = alpha / den and b - a = dnum / den."""
     a, b = Fraction(a), Fraction(b)
     delta = b - a
     den = lcm(a.denominator, delta.denominator)
     alpha = a.numerator * (den // a.denominator)
     dnum = delta.numerator * (den // delta.denominator)
-    # Q(t) = sum c_i (alpha + dnum t)^i den^(deg - i)
-    coeffs = p.coeffs
-    acc = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [0] * (len(acc) + 1)
-        for i, v in enumerate(acc):
-            nxt[i] += v * alpha
-            nxt[i + 1] += v * dnum
-        nxt[0] += c * den ** (len(nxt) - 1)
-        acc = nxt
-    return acc
+    # sum c_i den^(d-i) x^i at x = alpha + y, then y = dnum t
+    d = p.degree
+    c = _taylor_shift([ci * den ** (d - i) for i, ci in enumerate(p.coeffs)], alpha)
+    return [ci * dnum ** i for i, ci in enumerate(c)]
 
 
 def _descartes_bound(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Upper bound (exact when 0 or 1) on roots of p in the open (a, b)."""
     unit = _strip(_map_unit_interval(p, a, b))
     rev = list(reversed(unit))
-    return _sign_variations(_taylor_shift_1(rev))
+    return _sign_variations(_taylor_shift(rev, 1))
 
 
 def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
@@ -292,11 +286,16 @@ class CertifiedRoot:
     variation on the interval, its primitive part serves as `_sq` as it
     stands; only otherwise is its squarefree part computed and isolated.
 
-    The interval only ever shrinks, so concurrent readers may observe
-    different widths but never a different number.
+    The interval is held as integers over one common denominator: `_iv`
+    is (a, b, den) for [a/den, b/den], den > 0.  den starts at the lcm of
+    the endpoint denominators and doubles at each bisection, so every
+    decision is integer arithmetic; a Fraction is built only on the way
+    out.  Each bisection replaces the whole tuple in one assignment with
+    a half of the interval it read, so a concurrent reader always sees
+    an isolating interval of the same number, never a torn one.
     """
 
-    __slots__ = ("poly", "_sq", "_lo", "_hi", "_sign_lo", "_float")
+    __slots__ = ("poly", "_sq", "_iv", "_sign_lo", "_float")
 
     def __init__(self, poly: IntPolynomial, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -308,45 +307,51 @@ class CertifiedRoot:
             self._sq = squarefree_part(poly)
             if self._sq.sign_at(lo) != 0:
                 raise ValueError("point interval is not a root")
-            self._lo = self._hi = lo
-            self._sign_lo = 0
-            return
-        sq = IntPolynomial(_primitive(poly.coeffs))
-        if sq.sign_at(lo) and sq.sign_at(hi) and _descartes_bound(sq, lo, hi) == 1:
-            # one sign variation: exactly one root, and it is simple
-            self._sq, self._lo, self._hi = sq, lo, hi
         else:
-            self._sq = squarefree_part(poly)
-            ivals = isolate_roots(self._sq, lo, hi)
-            if len(ivals) != 1:
-                raise ValueError(f"expected exactly one root in ({lo}, {hi}), found {len(ivals)}")
-            self._lo, self._hi = ivals[0]
-        self._sign_lo = self._sq.sign_at(self._lo)
+            sq = IntPolynomial(_primitive(poly.coeffs))
+            if sq.sign_at(lo) and sq.sign_at(hi) and _descartes_bound(sq, lo, hi) == 1:
+                # one sign variation: exactly one root, and it is simple
+                self._sq = sq
+            else:
+                self._sq = squarefree_part(poly)
+                ivals = isolate_roots(self._sq, lo, hi)
+                if len(ivals) != 1:
+                    raise ValueError(f"expected exactly one root in ({lo}, {hi}), "
+                                     f"found {len(ivals)}")
+                lo, hi = ivals[0]
+        den = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        self._iv = (a, b, den)
+        self._sign_lo = _sign(self._sq.coeffs, a, den)
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        a, b, den = self._iv
+        return Fraction(a, den), Fraction(b, den)
 
     def _bisect(self) -> None:
-        if self._lo == self._hi:
+        a, b, den = self._iv
+        if a == b:
             return
-        mid = (self._lo + self._hi) / 2
-        s = self._sq.sign_at(mid)
+        mid = a + b
+        s = _sign(self._sq.coeffs, mid, 2 * den)
         if s == 0:
-            self._lo = self._hi = mid
-            self._sign_lo = 0
+            self._iv = (mid, mid, 2 * den)
         elif s == self._sign_lo:
-            self._lo = mid
+            self._iv = (mid, 2 * b, 2 * den)
         else:
-            self._hi = mid
+            self._iv = (2 * a, mid, 2 * den)
 
     def refine(self, width) -> "CertifiedRoot":
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        while self._hi - self._lo >= width:
+        wn, wd = width.numerator, width.denominator
+        while True:
+            a, b, den = self._iv
+            if (b - a) * wd < wn * den:
+                return self
             self._bisect()
-        return self
 
     def vanishes(self, r: IntPolynomial) -> bool:
         """Whether r is zero at this root, decided exactly without bisection.
@@ -357,44 +362,60 @@ class CertifiedRoot:
         """
         if r.is_zero:
             return True
-        if self._lo == self._hi:
-            return r.sign_at(self._lo) == 0
-        g = poly_gcd(self._sq, r)
-        return g.degree >= 1 and g.sign_at(self._lo) * g.sign_at(self._hi) < 0
+        a, b, den = self._iv
+        if a == b:
+            return _sign(r.coeffs, a, den) == 0
+        g = poly_gcd(self._sq, r).coeffs
+        return len(g) > 1 and _sign(g, a, den) * _sign(g, b, den) < 0
 
     def sign_at_root(self, r: IntPolynomial) -> int:
-        """Exact sign of r evaluated at this root."""
-        if self.vanishes(r):
-            return 0
+        """Exact sign of r evaluated at this root.
+
+        The enclosure of r over the interval decides first; only when it
+        straddles 0 is vanishing tested, once, by one gcd (vanishes).
+        Then bisection shrinks the interval until the enclosure excludes 0.
+        An enclosure that decides at once moves no interval.
+        """
+        checked = False
         while True:
-            vlo, vhi = _interval_eval(r, self._lo, self._hi)
+            a, b, den = self._iv
+            vlo, vhi = _interval_eval(r, a, b, den)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
+            if not checked:
+                if self.vanishes(r):
+                    return 0
+                checked = True
             self._bisect()
 
     def compare(self, other: "CertifiedRoot") -> int:
         """Exact three-way comparison with another certified root.
 
-        Bisection separates distinct roots; equality is proved once, by
-        whether other's polynomial vanishes at this root.
+        Bisection separates distinct roots, tested for disjointness by
+        integer cross-multiplication; equality is proved once, by whether
+        other's polynomial vanishes at this root.
         """
         if self is other:
             return 0
-        if other._lo == other._hi and self._lo < self._hi:
+        a2, b2, _ = other._iv
+        a1, b1, _ = self._iv
+        if a2 == b2 and a1 < b1:
             # the point's polynomial may vanish at another root in this
             # interval, so test equality from the point's side
             return -other.compare(self)
         equal = None
         while True:
-            if self._hi < other._lo:
+            a1, b1, d1 = self._iv
+            a2, b2, d2 = other._iv
+            if b1 * d2 < a2 * d1:
                 return -1
-            if other._hi < self._lo:
+            if b2 * d1 < a1 * d2:
                 return 1
             if equal is None:
                 equal = self.vanishes(other._sq)
-            if equal and (self._lo == self._hi or other._lo < self._lo and self._hi < other._hi):
+            if equal and (a1 == b1 or a2 * d1 < a1 * d2 and b1 * d2 < b2 * d1):
                 return 0
             self._bisect()
             if not equal:
@@ -408,15 +429,22 @@ class CertifiedRoot:
     def __float__(self) -> float:
         if self._float is None:
             self.refine(Fraction(1, 2 ** 60))
-            self._float = float((self._lo + self._hi) / 2)
+            a, b, den = self._iv
+            self._float = float(Fraction(a + b, 2 * den))
         return self._float
 
 
-def _interval_eval(p: IntPolynomial, lo: Fraction, hi: Fraction):
-    """Exact enclosure of p over [lo, hi] by interval Horner."""
-    acc_lo = acc_hi = Fraction(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo = min(prods) + c
-        acc_hi = max(prods) + c
-    return acc_lo, acc_hi
+def _interval_eval(p: IntPolynomial, lo: int, hi: int, den: int):
+    """Exact enclosure of p(x) * den^deg over x in [lo/den, hi/den], den > 0,
+    by interval Horner on integers.  It is the rational interval Horner
+    enclosure of p scaled by den^deg, so it decides the same signs."""
+    coeffs = p.coeffs
+    vlo = vhi = coeffs[-1]
+    dpow = 1
+    for c in reversed(coeffs[:-1]):
+        dpow *= den
+        prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(prods), max(prods)
+        vlo += c * dpow
+        vhi += c * dpow
+    return vlo, vhi

@@ -244,8 +244,9 @@ def cmd_extension3(args, out) -> int:
 
 
 def cmd_kl(args, out) -> int:
-    lo, hi = thresholds.kl_bracket(Fraction(args.eps))
+    eps = Fraction(args.eps)
     if args.format == "json":
+        lo, hi = thresholds.kl_bracket(eps)
         out.write(json.dumps({
             "value": f"{float((lo + hi) / 2):.10f}",
             "lo": str(lo),
@@ -253,8 +254,8 @@ def cmd_kl(args, out) -> int:
         }, indent=2) + "\n")
     else:
         # a midpoint at the requested width can misround the 5th decimal
-        dlo, dhi = thresholds.kl_bracket(min(Fraction(args.eps), Fraction(1, 10 ** 8)))
-        out.write(f"{float((dlo + dhi) / 2):.5f}\n")
+        lo, hi = thresholds.kl_bracket(min(eps, Fraction(1, 10 ** 8)))
+        out.write(f"{float((lo + hi) / 2):.5f}\n")
     return 0
 
 

@@ -18,7 +18,6 @@ words.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,10 +156,6 @@ def reduced_poly(k: int) -> IntPolynomial:
     return p
 
 
-_KL_LOCK = threading.Lock()
-_KL_STATE: list[Fraction] = [Fraction(3, 2), Fraction(2)]
-
-
 def _kl_sign(x: Fraction) -> int:
     """Exact sign of (sum of Thue-Morse weighted powers x^-k) - 1.
 
@@ -186,22 +181,21 @@ def _kl_sign(x: Fraction) -> int:
 
 def kl_bracket(eps) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the Komornik-Loreti constant,
-    narrower than eps >= 2^-100.  Brackets only ever shrink across calls."""
+    narrower than eps >= 2^-100: bisection of (3/2, 2), the same for
+    every call with the same eps."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps < Fraction(1, 2 ** 100):  # the series sign costs more at each halving
         raise PreconditionViolated(f"eps must be at least 2^-100 (about 7.9e-31), "
                                    f"got {float(eps):.3g}")
-    with _KL_LOCK:
-        lo, hi = _KL_STATE
-        while hi - lo >= eps:
-            mid = (lo + hi) / 2
-            if _kl_sign(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        _KL_STATE[0], _KL_STATE[1] = lo, hi
+    lo, hi = Fraction(3, 2), Fraction(2)
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        if _kl_sign(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
     return lo, hi
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from univoque.algebraic import (
     squarefree_part,
     _descartes_bound,
     _interval_eval,
+    _map_unit_interval,
 )
 from univoque.expansions import AlgebraicBeta, d_of_beta, greedy_digits
 from univoque.thresholds import sharkovskii_cmp, threshold_beta, threshold_poly
@@ -241,6 +243,21 @@ class TestFastPaths:
         for k in betas:
             for m in betas:
                 assert betas[k].root.compare(betas[m].root) == sharkovskii_cmp(m, k), (k, m)
+        # the guard holds only while sign_at_root looks the name up
+        with pytest.raises(AssertionError, match="interval sign loop"):
+            betas[2].root.cmp_rational(Fraction(3, 2))
+
+    def test_threshold_expansion_of_one_runs_no_gcd(self, monkeypatch):
+        """The last digit's remainder is the zero polynomial, and every
+        other digit is decided by the enclosure alone."""
+        betas = {k: threshold_beta(k, 2 ** -34) for k in range(2, 25)}
+
+        def refuse(*args):
+            raise AssertionError("poly_gcd ran in the orbit of 1")
+
+        monkeypatch.setattr(algebraic, "poly_gcd", refuse)
+        for k, beta in betas.items():
+            assert d_of_beta(beta).finiteness == ("finite", k)
 
     def test_squarefree_threshold_skips_the_gcd(self, monkeypatch):
         def refuse(p):
@@ -270,13 +287,55 @@ class TestPointIntervals:
         assert CertifiedRoot(GOLDEN, 1, 2).compare(point) == 1
 
 
+def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    den = lo.denominator * hi.denominator
+    return int(lo * den), int(hi * den), den
+
+
 def test_interval_eval_encloses_true_values():
     rng = random.Random(SEED + 4)
     for _ in range(200):
         p = _random_poly(rng, 5)
         lo = Fraction(rng.randint(0, 30), rng.randint(1, 7))
         hi = lo + Fraction(rng.randint(1, 9), rng.randint(1, 7))
-        vlo, vhi = _interval_eval(p, lo, hi)
+        a, b, den = _common(lo, hi)
+        vlo, vhi = _interval_eval(p, a, b, den)
         for t in range(5):
             x = lo + (hi - lo) * Fraction(t, 4)
-            assert vlo <= p(x) <= vhi
+            assert vlo <= p(x) * den ** p.degree <= vhi
+
+
+def _rational_interval_eval(p, lo: Fraction, hi: Fraction):
+    acc_lo = acc_hi = Fraction(p.coeffs[-1])
+    for c in reversed(p.coeffs[:-1]):
+        prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(prods) + c, max(prods) + c
+    return acc_lo, acc_hi
+
+
+def test_interval_eval_is_the_rational_enclosure_scaled():
+    """The integer enclosure is the rational interval Horner enclosure
+    times den^deg, on either side of 0, so both decide the same signs."""
+    rng = random.Random(SEED + 5)
+    for _ in range(200):
+        p = _random_poly(rng, 6)
+        lo = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+        hi = lo + Fraction(rng.randint(0, 9), rng.randint(1, 7))
+        a, b, den = _common(lo, hi)
+        scale = den ** p.degree
+        rlo, rhi = _rational_interval_eval(p, lo, hi)
+        assert _interval_eval(p, a, b, den) == (rlo * scale, rhi * scale)
+
+
+def test_unit_interval_map_is_the_scaled_substitution():
+    """_map_unit_interval(p, a, b) is den^deg * p(a + (b - a) t) with den
+    the common denominator of a and b - a."""
+    rng = random.Random(SEED + 6)
+    for _ in range(100):
+        p = _random_poly(rng, 8)
+        a = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        b = a + Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        den = lcm(a.denominator, (b - a).denominator)
+        q = IntPolynomial(_map_unit_interval(p, a, b))
+        for t in (0, 1, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(3, 11)):
+            assert q(t) == den ** p.degree * p(a + (b - a) * t)

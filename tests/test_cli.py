@@ -35,6 +35,8 @@ TABLE_24_ROWS = {
 }
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run(capsys, *argv):
@@ -72,6 +74,17 @@ class TestTable:
         assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_matches_golden(capsys, name):
+    """Stdout and exit code of fixed commands, byte for byte, as each
+    printed from a fresh interpreter when recorded.  Certified intervals
+    and digits must not move when the arithmetic behind them changes."""
+    case = GOLDEN_CASES[name]
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 class TestScalarCommands:
     def test_beta_n(self, capsys):
         code, out, _ = run(capsys, "beta-n", "5", "--eps", "1e-8")
@@ -90,6 +103,13 @@ class TestScalarCommands:
     def test_kl(self, capsys):
         code, out, _ = run(capsys, "kl")
         assert code == 0 and out.strip() == "1.78723"
+
+    def test_kl_json_does_not_depend_on_earlier_calls(self, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        first = subprocess.run([sys.executable, "-m", "univoque.cli", "kl", "--format", "json"],
+                               capture_output=True, text=True, env=env, timeout=20)
+        assert run(capsys, "kl")[0] == 0
+        assert run(capsys, "kl", "--format", "json") == (first.returncode, first.stdout, "")
 
     def test_q_n(self, capsys):
         code, out, _ = run(capsys, "q-n", "3")

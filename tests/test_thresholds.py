@@ -206,8 +206,10 @@ class TestKomornikLoreti:
         coarse = kl_bracket(Fraction(1, 100))
         fine = kl_bracket(Fraction(1, 10 ** 7))
         assert coarse[0] <= fine[0] <= fine[1] <= coarse[1]
-        again = kl_bracket(Fraction(1, 100))
-        assert fine[0] <= again[0] <= again[1] <= fine[1]
+        # a bracket depends on eps alone, not on earlier calls: bisection
+        # from (3/2, 2) stops at the first width below eps
+        assert kl_bracket(Fraction(1, 100)) == coarse
+        assert Fraction(1, 200) <= coarse[1] - coarse[0] < Fraction(1, 100)
 
     def test_below_flags(self):
         for n, flag in TABLE_BELOW_KL.items():

@@ -2,10 +2,12 @@
 
 Every sign decision here is exact: evaluation at a rational point reduces
 to integer arithmetic, root counting uses Descartes bounds under Mobius
-transforms, and isolating intervals shrink by bisection with exact
-endpoint signs.  Floats never participate in a certified decision; they
-only appear when a caller asks for an approximate value of an
-already-certified root.
+transforms, and isolating intervals shrink to the cells that bisection
+with exact endpoint signs reaches; a secant step may propose a cell of
+the bisection grid, which is taken only when the exact signs at its ends
+show that it holds the root.  Floats never participate in a certified
+decision; they only appear when a caller asks for an approximate value
+of an already-certified root.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import UndecidedError
+
 _MAX_ISOLATE_DEPTH = 400
+_SEPARATION_LEVELS = 256   # compare takes its one gcd only past this many levels
+_JUMP_MIN = 4              # shorter descents only bisect (a chosen value, not measured)
 
 
 def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -24,14 +30,26 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _sign(coeffs: Sequence[int], p: int, q: int) -> int:
-    """Exact sign of the polynomial at p / q, q > 0, by one integer Horner:
-    value * q^deg = sum_i c_i p^i q^(deg - i) has the same sign."""
+def _value(coeffs: Sequence[int], p: int, q: int) -> int:
+    """The polynomial's value at p / q, q > 0, times q^deg, by one integer
+    Horner: sum_i c_i p^i q^(deg - i)."""
     total = 0
-    qpow = 1
-    for c in reversed(coeffs):
-        total = total * p + c * qpow
-        qpow *= q
+    if q & (q - 1):
+        qpow = 1
+        for c in reversed(coeffs):
+            total = total * p + c * qpow
+            qpow *= q
+    else:  # q = 2^e, as on the bisection grid from integer ends: powers are shifts
+        e, shift = q.bit_length() - 1, 0
+        for c in reversed(coeffs):
+            total = total * p + (c << shift)
+            shift += e
+    return total
+
+
+def _sign(coeffs: Sequence[int], p: int, q: int) -> int:
+    """Exact sign of the polynomial at p / q, q > 0."""
+    total = _value(coeffs, p, q)
     return (total > 0) - (total < 0)
 
 
@@ -259,7 +277,8 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
     while stack:
         a, b, depth = stack.pop()
         if depth > _MAX_ISOLATE_DEPTH:
-            raise RuntimeError("root isolation did not converge")
+            raise UndecidedError(f"root isolation did not converge within depth "
+                                 f"{_MAX_ISOLATE_DEPTH}", _MAX_ISOLATE_DEPTH)
         v = _descartes_bound(p, a, b)
         if v == 0:
             continue
@@ -277,6 +296,16 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
     return out
 
 
+def _ancestor(start: tuple[int, int, int], iv: tuple[int, int, int], depth: int,
+              level: int) -> tuple[int, int, int]:
+    """The cell at `level` below start that holds iv, a cell `depth`
+    levels below start (on the grid of _descend)."""
+    a, b, den = start
+    w = b - a
+    lo = (a << level) + ((iv[0] - (a << depth)) // w >> (depth - level)) * w
+    return lo, lo + w, den << level
+
+
 class CertifiedRoot:
     """A real algebraic number: polynomial plus certified isolating interval.
 
@@ -285,13 +314,19 @@ class CertifiedRoot:
     simple.  When the given polynomial has a single Descartes sign
     variation on the interval, its primitive part serves as `_sq` as it
     stands; only otherwise is its squarefree part computed and isolated.
+    On an interval in [0, oo) with a sign change, one sign variation of
+    the coefficients themselves settles this in O(d), before the O(d^2)
+    Descartes transform.
 
     The interval is held as integers over one common denominator: `_iv`
     is (a, b, den) for [a/den, b/den], den > 0.  den starts at the lcm of
     the endpoint denominators and doubles at each bisection, so every
     decision is integer arithmetic; a Fraction is built only on the way
-    out.  Each bisection replaces the whole tuple in one assignment with
-    a half of the interval it read, so a concurrent reader always sees
+    out.  refine and compare leave the interval in exactly the cell that
+    bisection one level at a time reaches, but get there by verified
+    jumps over the bisection grid (_descend, _separate).  Each bisection
+    or jump replaces the whole tuple in one assignment with a cell of an
+    isolating interval of the root, so a concurrent reader always sees
     an isolating interval of the same number, never a torn one.
     """
 
@@ -304,13 +339,21 @@ class CertifiedRoot:
         self.poly = poly
         self._float = None
         if lo == hi:
+            if poly.is_zero:
+                raise ValueError("the zero polynomial isolates no root")
             self._sq = squarefree_part(poly)
             if self._sq.sign_at(lo) != 0:
                 raise ValueError("point interval is not a root")
         else:
             sq = IntPolynomial(_primitive(poly.coeffs))
-            if sq.sign_at(lo) and sq.sign_at(hi) and _descartes_bound(sq, lo, hi) == 1:
-                # one sign variation: exactly one root, and it is simple
+            s_lo, s_hi = sq.sign_at(lo), sq.sign_at(hi)
+            if s_lo and s_hi and (lo >= 0 and s_lo != s_hi and _sign_variations(sq.coeffs) == 1
+                                  or _descartes_bound(sq, lo, hi) == 1):
+                # one sign variation: exactly one root, and it is simple.
+                # With lo >= 0 and a sign change, one variation of the
+                # coefficients already says so: Descartes gives one simple
+                # positive root, and since the bound is subadditive the
+                # bound on (lo, hi) is 1 as well
                 self._sq = sq
             else:
                 self._sq = squarefree_part(poly)
@@ -329,29 +372,96 @@ class CertifiedRoot:
         a, b, den = self._iv
         return Fraction(a, den), Fraction(b, den)
 
-    def _bisect(self) -> None:
-        a, b, den = self._iv
-        if a == b:
-            return
-        mid = a + b
-        s = _sign(self._sq.coeffs, mid, 2 * den)
-        if s == 0:
-            self._iv = (mid, mid, 2 * den)
-        elif s == self._sign_lo:
-            self._iv = (mid, 2 * b, 2 * den)
-        else:
-            self._iv = (2 * a, mid, 2 * den)
-
     def refine(self, width) -> "CertifiedRoot":
+        """Shrink the interval to the first cell narrower than width that
+        bisection reaches, jumping there (_descend)."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        wn, wd = width.numerator, width.denominator
-        while True:
-            a, b, den = self._iv
-            if (b - a) * wd < wn * den:
-                return self
-            self._bisect()
+        iv = self._iv
+        a, b, den = iv
+        # bisection keeps b - a and doubles den: it stops after the least
+        # k with (b - a) * wd < wn * den * 2^k
+        self._descend(iv, ((b - a) * width.denominator // (width.numerator * den)).bit_length())
+        return self
+
+    def _descend(self, iv: tuple[int, int, int], k: int, ends=(None, None)):
+        """Move the interval from iv to where k bisections would leave it,
+        and return that interval with `ends`, the exact values (times
+        den^deg) at its two ends, each None when not computed; `ends`
+        passes in those of iv.  A bisection keeps the half whose ends
+        have opposite exact signs, or the midpoint when its sign is 0.
+
+        The grid at level t below (a, b, den) holds the points
+        (a 2^t + i (b - a)) / (den 2^t), 0 <= i <= 2^t.  k bisections end
+        in the cell of the level-k grid that holds the root, or at a grid
+        point that is the root.  Jumps find that cell without the levels
+        in between.  Abbott's secant step on the exact end values
+        proposes the nearest grid point i at a level t <= k, and the exact
+        sign there picks the neighbour on the side of the root.  The cell is taken only when the exact signs at its
+        ends are _sign_lo and -_sign_lo: then it holds the root, and no
+        coarser midpoint is the root, so bisection reaches it too.  A
+        rejected proposal costs one bisection.  As in Abbott's quadratic
+        interval refinement (2006) the secant jump doubles after a success
+        and halves after a failure; it starts at about the bits already
+        known.  A zero sign hands the rest to plain bisection.
+        """
+        a, b, den = iv
+        if a == b:
+            return iv, ends
+        coeffs, s = self._sq.coeffs, self._sign_lo
+        shift = len(coeffs) - 1
+        w = b - a
+        fa, fb = ends
+        # the secant misses by about w^2 f''/f', so a cell 2^-p wide, p bits
+        # below the root's magnitude, gains about p less the degree's bits
+        dbits = shift.bit_length()
+        step = max(2, max(abs(a), abs(b)).bit_length() - w.bit_length() - dbits) if k >= _JUMP_MIN else 0
+        while k > 0:
+            t = 0
+            if step >= 2 and k >= 2:
+                t = min(k, step)
+                if fa is None or fb is None:
+                    fa, fb = _value(coeffs, a, den), _value(coeffs, b, den)
+                # the secant root a + w fa / (fa - fb)
+                num, qden = (fa << t) * 2 + fa - fb, 2 * (fa - fb)
+            elif step:
+                step = 2
+            if t:
+                if qden < 0:
+                    num, qden = -num, -qden
+                i = min(max(num // qden, 0), 1 << t)  # the nearest grid point
+                base, dt = a << t, den << t
+                vi = _value(coeffs, base + i * w, dt)
+                j = i + 1 if (vi > 0) == (s > 0) else i - 1
+                vj = _value(coeffs, base + j * w, dt) if vi else 0
+                if not vj:
+                    step = 0
+                elif (vi > 0) != (vj > 0):
+                    if i > j:
+                        i, j, vi, vj = j, i, vj, vi
+                    a, b, den = base + i * w, base + j * w, dt
+                    self._iv = (a, b, den)
+                    fa, fb = vi, vj
+                    k -= t
+                    step = max(2 * step, max(abs(a), abs(b)).bit_length() - w.bit_length() - dbits)
+                    continue
+                else:
+                    step //= 2
+            # one bisection, keeping the end values
+            mid = a + b
+            vm = _value(coeffs, mid, 2 * den)
+            if not vm:
+                self._iv = (mid, mid, 2 * den)
+                return self._iv, (0, 0)
+            if (vm > 0) == (s > 0):
+                a, b, fa, fb = mid, 2 * b, vm, None if fb is None else fb << shift
+            else:
+                a, b, fa, fb = 2 * a, mid, None if fa is None else fa << shift, vm
+            den *= 2
+            self._iv = (a, b, den)
+            k -= 1
+        return (a, b, den), (fa, fb)
 
     def vanishes(self, r: IntPolynomial) -> bool:
         """Whether r is zero at this root, decided exactly without bisection.
@@ -388,24 +498,83 @@ class CertifiedRoot:
                 if self.vanishes(r):
                     return 0
                 checked = True
-            self._bisect()
+            self._descend(self._iv, 1)
 
     def compare(self, other: "CertifiedRoot") -> int:
         """Exact three-way comparison with another certified root.
 
-        Bisection separates distinct roots, tested for disjointness by
-        integer cross-multiplication; equality is proved once, by whether
-        other's polynomial vanishes at this root.
+        Disjoint intervals decide at once, by integer cross-multiplication.
+        Overlapping ones are separated by _separate, which leaves both
+        intervals where lockstep bisection would: at the first level at
+        which they are disjoint.
         """
         if self is other:
             return 0
-        a2, b2, _ = other._iv
-        a1, b1, _ = self._iv
+        a1, b1, d1 = self._iv
+        a2, b2, d2 = other._iv
+        if b1 * d2 < a2 * d1:
+            return -1
+        if b2 * d1 < a1 * d2:
+            return 1
         if a2 == b2 and a1 < b1:
             # the point's polynomial may vanish at another root in this
             # interval, so test equality from the point's side
             return -other.compare(self)
+        return self._separate(other)
+
+    def _separate(self, other: "CertifiedRoot") -> int:
+        """Compare two roots whose intervals overlap, leaving both where
+        the bisection loop (_bisect_compare) leaves them.
+
+        That loop first tests whether other's polynomial vanishes at this
+        root (one gcd).  When both intervals lie in [0, oo) and other's
+        polynomial has one sign variation, its only positive root is
+        other's own, so for distinct roots the answer is no, and the loop
+        bisects both once per step until the intervals are disjoint.  The
+        same polynomial on both sides then means the same root, and the
+        loop's gcd of a polynomial with itself is cheap, so it runs at once.
+        Here both descend instead by the same number of levels
+        (_descend), in rounds that double after the first _JUMP_MIN
+        single levels, and both are set to their ancestor cells at the
+        first level at which those are disjoint.  The gcd runs only after
+        _SEPARATION_LEVELS levels without separation: distinct roots go
+        on in the loop from there, and equal ones restore both intervals
+        and run it from the start, as do other polynomials, point
+        intervals and a root that a midpoint hits.
+        """
+        saved = iv1, iv2 = self._iv, other._iv
+        ends1 = ends2 = (None, None)
         equal = None
+        if (iv1[0] >= 0 and iv2[0] >= 0 and self._sq != other._sq
+                and _sign_variations(other._sq.coeffs) == 1):
+            levels = 0
+            while iv1[0] < iv1[1] and iv2[0] < iv2[1]:
+                if levels >= _SEPARATION_LEVELS:
+                    equal = self.vanishes(other._sq)
+                    if not equal:
+                        return self._bisect_compare(other, False)
+                    break
+                step = levels if levels >= _JUMP_MIN else 1
+                start1, start2 = iv1, iv2
+                iv1, ends1 = self._descend(iv1, step, ends1)
+                iv2, ends2 = other._descend(iv2, step, ends2)
+                if iv1[0] == iv1[1] or iv2[0] == iv2[1]:
+                    break
+                for level in range(1, step + 1):
+                    lo1, hi1, e1 = cell1 = _ancestor(start1, iv1, step, level)
+                    lo2, hi2, e2 = cell2 = _ancestor(start2, iv2, step, level)
+                    side = -1 if hi1 * e2 < lo2 * e1 else 1 if hi2 * e1 < lo1 * e2 else 0
+                    if side:
+                        self._iv, other._iv = cell1, cell2
+                        return side
+                levels += step
+            self._iv, other._iv = saved
+        return self._bisect_compare(other, equal)
+
+    def _bisect_compare(self, other: "CertifiedRoot", equal) -> int:
+        """Bisect until the intervals are disjoint; equality is proved
+        once, by whether other's polynomial vanishes at this root (equal
+        is None until then)."""
         while True:
             a1, b1, d1 = self._iv
             a2, b2, d2 = other._iv
@@ -417,9 +586,9 @@ class CertifiedRoot:
                 equal = self.vanishes(other._sq)
             if equal and (a1 == b1 or a2 * d1 < a1 * d2 and b1 * d2 < b2 * d1):
                 return 0
-            self._bisect()
+            self._descend(self._iv, 1)
             if not equal:
-                other._bisect()
+                other._descend(other._iv, 1)
 
     def cmp_rational(self, x) -> int:
         """Sign of (root - x) for rational x = p/q: the sign of qX - p at the root."""

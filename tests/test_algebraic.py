@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from univoque import algebraic
+from univoque import algebraic, oracle
 from univoque.algebraic import (
     CertifiedRoot,
     IntPolynomial,
@@ -15,10 +15,12 @@ from univoque.algebraic import (
     _descartes_bound,
     _interval_eval,
     _map_unit_interval,
+    _primitive,
+    _sign_variations,
 )
 from univoque.expansions import AlgebraicBeta, d_of_beta, greedy_digits
 from univoque.thresholds import sharkovskii_cmp, threshold_beta, threshold_poly
-from util import SEED
+from util import SEED, bisection_compare, bisection_refine
 
 GOLDEN = IntPolynomial([-1, -1, 1])  # x^2 - x - 1
 
@@ -51,6 +53,17 @@ class TestIntPolynomial:
             x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             v = p(x)
             assert p.sign_at(x) == (v > 0) - (v < 0)
+
+    def test_integer_horner_on_either_kind_of_denominator(self):
+        """_value is sum c_i p^i q^(d-i) for odd, even and power-of-two q."""
+        rng = random.Random(SEED + 9)
+        for _ in range(300):
+            p = _random_poly(rng, 12)
+            num = rng.randint(-10 ** 6, 10 ** 6)
+            q = rng.choice([2 ** rng.randint(0, 80), rng.randint(1, 10 ** 6)])
+            d = p.degree
+            assert algebraic._value(p.coeffs, num, q) == sum(
+                c * num ** i * q ** (d - i) for i, c in enumerate(p.coeffs))
 
     def test_derivative(self):
         assert IntPolynomial([-1, -1, 1]).derivative().coeffs == (-1, 2)
@@ -156,6 +169,13 @@ class TestCertifiedRoot:
             CertifiedRoot(IntPolynomial([-6, 11, -6, 1]), 0, 4)  # three roots
         with pytest.raises(ValueError):
             CertifiedRoot(IntPolynomial([1, 0, 1]), 0, 4)  # no real roots
+        # one sign variation alone: it counts positive roots only, and only
+        # a sign change across the interval puts one in it
+        with pytest.raises(ValueError, match="found 0"):
+            CertifiedRoot(IntPolynomial([-3, 1]), 1, 2)  # x - 3
+        with pytest.raises(ValueError, match="found 2"):
+            # (x + 1)^2 (x - 1) has one variation and roots -1, -1, 1
+            CertifiedRoot(IntPolynomial([-1, -1, 1, 1]), -2, 2)
 
     def test_sign_at_root(self):
         golden = CertifiedRoot(IntPolynomial([-1, -1, 1]), 1, 2)
@@ -285,6 +305,214 @@ class TestPointIntervals:
         pair = CertifiedRoot(half * IntPolynomial([-5, 4]), Fraction(3, 2), Fraction(3, 2))
         assert five_quarters.compare(pair) == -1 and pair.compare(five_quarters) == 1
         assert CertifiedRoot(GOLDEN, 1, 2).compare(point) == 1
+
+
+def _twins(poly, lo, hi):
+    return CertifiedRoot(poly, lo, hi), CertifiedRoot(poly, lo, hi)
+
+
+def _same_state(r, ref):
+    return r._iv == ref._iv and r._sign_lo == ref._sign_lo and r._sq == ref._sq
+
+
+class TestVerifiedJumps:
+    """refine and compare jump over bisection levels, and must leave every
+    interval exactly where the bisection loops they replaced leave it
+    (tests/util.py keeps those loops as the reference)."""
+
+    WIDTHS = (Fraction(1, 2 ** 34), 1e-8, 1e-20, Fraction(1, 2 ** 60), Fraction(1, 3 ** 50))
+
+    def test_threshold_refine_matches_bisection(self):
+        for k in (*range(2, 81), 128, 256):
+            poly = threshold_poly(k)
+            for width in self.WIDTHS:
+                r, ref = _twins(poly, 1, 2)
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref), (k, width)
+
+    @pytest.mark.parametrize("width", [Fraction(1, 2 ** 34), 1e-8, Fraction(1, 2 ** 20)])
+    def test_threshold_compare_matches_bisection(self, width):
+        """All pairs of 2..69 in turn, so each compare starts from the
+        intervals that the earlier ones left."""
+        roots = {k: _twins(threshold_poly(k), 1, 2) for k in range(2, 70)}
+        for r, ref in roots.values():
+            r.refine(width)
+            bisection_refine(ref, width)
+        for k in range(2, 70):
+            for m in range(k + 1, 70):
+                (r1, ref1), (r2, ref2) = roots[k], roots[m]
+                assert r1.compare(r2) == bisection_compare(ref1, ref2), (k, m)
+                assert _same_state(r1, ref1) and _same_state(r2, ref2), (k, m)
+
+    def test_random_roots_match_bisection(self):
+        """Rational roots that a bisection midpoint hits (point intervals),
+        rational roots none hits, quadratic irrationals, repeated factors
+        and equal roots of different polynomials, on intervals either
+        side of 0, through seeded refines and compares."""
+        rng = random.Random(SEED + 7)
+        targets = [IntPolynomial([-3, 2]), IntPolynomial([-5, 4]), IntPolynomial([-11, 8]),
+                   IntPolynomial([-4, 3]), IntPolynomial([-7, 5]), IntPolynomial([-1, -1, 1]),
+                   IntPolynomial([-2, 0, 1]), IntPolynomial([-3, 0, 1])]
+        pool = []
+        for _ in range(60):
+            target = rng.choice(targets)
+            poly = target * target if rng.random() < 0.2 else target
+            for _ in range(rng.randint(0, 2)):  # cofactors with no root in [-2, 2]
+                c = rng.choice([3, 4, 5, 7])
+                poly = poly * rng.choice([IntPolynomial([c, 1]), IntPolynomial([-c, 1]),
+                                          IntPolynomial([c, 0, 1])])
+            if rng.random() < 0.3:  # the same roots mirrored into (-2, -1)
+                poly = IntPolynomial(c * (-1) ** i for i, c in enumerate(poly.coeffs))
+                pool.append(_twins(poly, -2, -1))
+            else:
+                pool.append(_twins(poly, 1, 2))
+        for _ in range(400):
+            if rng.random() < 0.4:
+                (r, ref), width = rng.choice(pool), rng.choice(self.WIDTHS + (Fraction(1, 5),))
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref)
+            else:
+                (r1, ref1), (r2, ref2) = rng.choice(pool), rng.choice(pool)
+                assert r1.compare(r2) == bisection_compare(ref1, ref2)
+                assert _same_state(r1, ref1) and _same_state(r2, ref2)
+        assert any(r._iv[0] == r._iv[1] for r, _ in pool)
+
+    def test_rejected_proposals_match_bisection(self):
+        """Proposals that miss: a steep polynomial, far from linear where
+        the secant starts, and a root 1/(3 2^60) from its neighbour."""
+        big, n = 2 ** 1100, 3 * 2 ** 60
+        steep = IntPolynomial([-(2 * big + 3)] + [0] * 19 + [big + 1])
+        close = IntPolynomial([-n - 1, n]) * IntPolynomial([-n - 2, n])
+        cases = [(steep, 1, 2)] + [(close, lo, hi) for lo, hi in isolate_roots(close, 1, 2)]
+        assert len(cases) == 3
+        for width in self.WIDTHS:
+            twins = [_twins(*case) for case in cases]
+            for r, ref in twins:
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref), width
+            (r1, ref1), (r2, ref2) = twins[1:]
+            assert r1.compare(r2) == bisection_compare(ref1, ref2)
+            assert _same_state(r1, ref1) and _same_state(r2, ref2)
+
+    @pytest.mark.parametrize("width", [1, Fraction(1, 2 ** 34), 1e-20])
+    def test_equal_roots_of_different_polynomials(self, width):
+        cubic = GOLDEN * IntPolynomial([5, 1])
+        quartic = GOLDEN * IntPolynomial([-7, 0, 1])
+        for first, second in ((cubic, quartic), (quartic, cubic)):
+            (r1, ref1), (r2, ref2) = _twins(first, 1, 2), _twins(second, 1, 2)
+            for r, ref in ((r1, ref1), (r2, ref2)):
+                r.refine(width)
+                bisection_refine(ref, width)
+            assert r1.compare(r2) == bisection_compare(ref1, ref2) == 0
+            assert _same_state(r1, ref1) and _same_state(r2, ref2)
+
+    def test_same_polynomial_goes_straight_to_the_loop(self, monkeypatch):
+        """Two roots of one threshold polynomial are equal, so compare
+        bisects one level at a time, as the loop does, instead of
+        descending to the separation cap first."""
+        levels = []
+        descend = CertifiedRoot._descend
+
+        def counting(self, iv, k, ends=(None, None)):
+            levels.append(k)
+            return descend(self, iv, k, ends)
+
+        for k in (8, 64, 256):
+            r1, r2 = threshold_beta(k, 1e-8).root, threshold_beta(k, 1e-9).root
+            ref1, ref2 = threshold_beta(k, 1e-8).root, threshold_beta(k, 1e-9).root
+            monkeypatch.setattr(CertifiedRoot, "_descend", counting)
+            assert r1.compare(r2) == 0
+            monkeypatch.undo()
+            assert bisection_compare(ref1, ref2) == 0
+            assert _same_state(r1, ref1) and _same_state(r2, ref2)
+        assert set(levels) == {1}
+
+    def test_midpoint_hit_during_a_descent(self):
+        """1 + 2^-20 becomes a point interval at level 20, inside a round
+        of the descent that separates it from a root 2^-29 above it."""
+        dyadic = IntPolynomial([-(2 ** 20 + 1), 2 ** 20])
+        near = IntPolynomial([-((2 ** 20 + 1) ** 2 + 2 ** 12), 0, 2 ** 40])
+        for first, second in ((dyadic, near), (near, dyadic)):
+            (r1, ref1), (r2, ref2) = _twins(first, 1, 2), _twins(second, 1, 2)
+            assert r1.compare(r2) == bisection_compare(ref1, ref2)
+            assert _same_state(r1, ref1) and _same_state(r2, ref2)
+        assert r2._iv[0] == r2._iv[1]
+
+    def test_other_polynomial_vanishing_at_a_distinct_root(self):
+        """(x^2 - 2)(x + 1) has one sign variation but vanishes at -1 and
+        at sqrt 2.  Its root on one side of 0 meets the other root on the
+        other side, and the loop bisects only the first root."""
+        both = IntPolynomial([-2, 0, 1]) * IntPolynomial([1, 1])
+        pairs = [((IntPolynomial([-2, 0, 1]), 0, 2), (both, Fraction(-5, 4), Fraction(1, 2))),
+                 ((IntPolynomial([1, 1]), Fraction(-5, 4), Fraction(1, 2)), (both, 0, 2))]
+        for first, second in pairs:
+            (r1, ref1), (r2, ref2) = _twins(*first), _twins(*second)
+            assert r1.compare(r2) == bisection_compare(ref1, ref2)
+            assert _same_state(r1, ref1) and _same_state(r2, ref2)
+            assert r2.interval == (second[1], second[2])
+
+    def test_roots_closer_than_the_separation_cap(self):
+        """4/3 and 4/3 + 1/(3 2^1100) separate only past the level cap, so
+        the gcd runs, finds them distinct, and bisection goes on."""
+        near = IntPolynomial([-(4 * 2 ** 1100 + 1), 3 * 2 ** 1100])
+        (r1, ref1), (r2, ref2) = _twins(IntPolynomial([-4, 3]), 1, 2), _twins(near, 1, 2)
+        assert r1.compare(r2) == bisection_compare(ref1, ref2) == -1
+        assert _same_state(r1, ref1) and _same_state(r2, ref2)
+        assert r1._iv[2] > 2 ** algebraic._SEPARATION_LEVELS
+
+    def test_verify_ordering_matches_bisection(self, monkeypatch):
+        report = oracle.verify_ordering(30)
+
+        def refine(root, width):
+            bisection_refine(root, width)
+            return root
+
+        monkeypatch.setattr(CertifiedRoot, "refine", refine)
+        monkeypatch.setattr(CertifiedRoot, "compare", bisection_compare)
+        assert oracle.verify_ordering(30) == report
+
+    def test_thresholds_skip_the_descartes_transform(self, monkeypatch):
+        """Every threshold polynomial up to 256 has one sign variation."""
+        def refuse(*args):
+            raise AssertionError("_taylor_shift ran for a threshold")
+
+        monkeypatch.setattr(algebraic, "_taylor_shift", refuse)
+        for k in range(2, 257):
+            assert threshold_beta(k).root._sq == threshold_poly(k)
+
+    def test_distinct_thresholds_compare_without_a_gcd(self, monkeypatch):
+        betas = {k: threshold_beta(k, 2 ** -34) for k in range(2, 65)}
+
+        def refuse(*args):
+            raise AssertionError("poly_gcd ran in compare")
+
+        monkeypatch.setattr(algebraic, "poly_gcd", refuse)
+        for k in betas:
+            for m in betas:
+                if k != m:
+                    assert betas[k].root.compare(betas[m].root) == sharkovskii_cmp(m, k)
+
+    def test_one_variation_implies_one_descartes_variation(self):
+        """The O(d) shortcut accepts only where the Descartes bound on the
+        interval is 1, so it never changes _sq or the interval."""
+        rng = random.Random(SEED + 8)
+        accepted = 0
+        while accepted < 300:
+            p = _random_poly(rng, 9)
+            sq = IntPolynomial(_primitive(p.coeffs))
+            if _sign_variations(sq.coeffs) != 1:
+                continue
+            lo = Fraction(rng.randint(0, 40), rng.randint(1, 9))
+            hi = lo + Fraction(rng.randint(1, 40), rng.randint(1, 9))
+            s_lo, s_hi = sq.sign_at(lo), sq.sign_at(hi)
+            if s_lo * s_hi < 0:
+                accepted += 1
+                assert _descartes_bound(sq, lo, hi) == 1, (p, lo, hi)
+                r = CertifiedRoot(p, lo, hi)
+                assert r._sq == sq and r.interval == (lo, hi)
 
 
 def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:

@@ -78,11 +78,20 @@ class TestTable:
 def test_output_matches_golden(capsys, name):
     """Stdout and exit code of fixed commands, byte for byte, as each
     printed from a fresh interpreter when recorded.  Certified intervals
-    and digits must not move when the arithmetic behind them changes."""
+    and digits must not move when the arithmetic behind them changes.
+    A case with a timeout runs in a subprocess that is stopped after that
+    many seconds, so a slow build fails the case instead of stalling."""
     case = GOLDEN_CASES[name]
-    code, out, _ = run(capsys, *case["argv"])
+    if "timeout" in case:
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "univoque.cli", *case["argv"]],
+                              capture_output=True, env=env, timeout=case["timeout"])
+        code, out = proc.returncode, proc.stdout
+    else:
+        code, text, _ = run(capsys, *case["argv"])
+        out = text.encode()
     assert code == case["exit"]
-    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
 class TestScalarCommands:
@@ -238,6 +247,15 @@ class TestExitCodes:
                            "float:1.6180339887498949", "--seq", "(10)^w")
         assert code == 2 and "undecided" in err
 
+    def test_isolation_past_its_depth_cap_is_two(self, capsys):
+        """Two roots 2^-500 apart, 1 + 1/N and 1 + 2/N for N = 2^500."""
+        n = 2 ** 500
+        base = f"poly:[{(n + 1) * (n + 2)},{-n * (2 * n + 3)},{n * n}]@(1,2)"
+        code, out, err = run(capsys, "check-unique", "--beta", base, "--seq", "(10)^w")
+        assert (code, out) == (2, "")
+        assert err == ("undecided: root isolation did not converge within depth 400 "
+                       "(budget 400)\n")
+
     def test_extension_below_threshold_is_one(self, capsys):
         code, _, err = run(capsys, "extension3", "--beta", "float:1.7")
         assert code == 1 and "period-4 threshold" in err
@@ -308,6 +326,8 @@ def test_malformed_input_is_rejected_without_traceback(capsys, argv):
      "base 'poly:[-1,-1,1]@(2,1)': empty interval"),
     (["check-unique", "--beta", "poly:[-1,-1,1]@(0,2)", "--seq", "(01)^w"],
      "base 'poly:[-1,-1,1]@(0,2)': isolating interval must lie inside [1, 2]"),
+    (["expand", "--beta", "poly:[0]@(3/2,3/2)", "--x", "1", "--digits", "4"],
+     "base 'poly:[0]@(3/2,3/2)': the zero polynomial isolates no root"),
 ])
 def test_malformed_text_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)

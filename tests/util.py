@@ -4,6 +4,7 @@ gate."""
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -198,3 +199,60 @@ def symbolwise_unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
         if x == "R":
             flips += 1
     return EQUAL
+
+
+def bisect(root) -> None:
+    """One bisection step of a certified root: keep the half of the
+    interval whose ends have opposite exact signs, or the midpoint when
+    it is the root."""
+    a, b, den = root._iv
+    if a == b:
+        return
+    mid = a + b
+    s = root._sq.sign_at(Fraction(mid, 2 * den))
+    if s == 0:
+        root._iv = (mid, mid, 2 * den)
+    elif s == root._sign_lo:
+        root._iv = (mid, 2 * b, 2 * den)
+    else:
+        root._iv = (2 * a, mid, 2 * den)
+
+
+def bisection_refine(root, width) -> None:
+    """Reference for CertifiedRoot.refine: the loop it replaced, one
+    bisection at a time until the interval is narrower than width."""
+    width = Fraction(width)
+    wn, wd = width.numerator, width.denominator
+    while True:
+        a, b, den = root._iv
+        if (b - a) * wd < wn * den:
+            return
+        bisect(root)
+
+
+def bisection_compare(r1, r2) -> int:
+    """Reference for CertifiedRoot.compare: the loop it replaced.  On the
+    first overlap it tests whether r2's polynomial vanishes at r1 (one
+    gcd); then it bisects r1, and r2 as well unless it does, until the
+    intervals are disjoint or r1's lies inside r2's."""
+    if r1 is r2:
+        return 0
+    a2, b2, _ = r2._iv
+    a1, b1, _ = r1._iv
+    if a2 == b2 and a1 < b1:
+        return -bisection_compare(r2, r1)
+    equal = None
+    while True:
+        a1, b1, d1 = r1._iv
+        a2, b2, d2 = r2._iv
+        if b1 * d2 < a2 * d1:
+            return -1
+        if b2 * d1 < a1 * d2:
+            return 1
+        if equal is None:
+            equal = r1.vanishes(r2._sq)
+        if equal and (a1 == b1 or a2 * d1 < a1 * d2 and b1 * d2 < b2 * d1):
+            return 0
+        bisect(r1)
+        if not equal:
+            bisect(r2)

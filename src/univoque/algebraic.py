@@ -267,12 +267,14 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
 
     p must be squarefree (see squarefree_part) and must not vanish at
     the endpoints.  Each returned pair (a, b) holds exactly one root of
-    p, and it is simple; a == b marks an exact rational root.
+    p, and it is simple; a == b marks an exact rational root, and p is
+    nonzero at both ends of a < b.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ValueError("polynomial vanishes at an isolation endpoint")
     out: list[tuple[Fraction, Fraction]] = []
+    found: set[Fraction] = set()  # roots hit at a midpoint, divided out of p
     stack = [(lo, hi, 0)]
     while stack:
         a, b, depth = stack.pop()
@@ -282,12 +284,16 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
         v = _descartes_bound(p, a, b)
         if v == 0:
             continue
-        if v == 1:
+        if v == 1 and a not in found and b not in found:
             out.append((a, b))
             continue
+        # a cell that ends at a root found earlier is split again, as if it
+        # had more variations, until the cell of its own root no longer
+        # touches that end
         m = (a + b) / 2
         if p.sign_at(m) == 0:
             out.append((m, m))
+            found.add(m)
             p = p.exact_div(IntPolynomial((-m.numerator, m.denominator)))
             # after deflation the endpoints stay nonzero for the reduced poly
         stack.append((a, m, depth + 1))
@@ -336,11 +342,11 @@ class CertifiedRoot:
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo <= hi:
             raise ValueError("empty interval")
+        if poly.is_zero:
+            raise ValueError("the zero polynomial isolates no root")
         self.poly = poly
         self._float = None
         if lo == hi:
-            if poly.is_zero:
-                raise ValueError("the zero polynomial isolates no root")
             self._sq = squarefree_part(poly)
             if self._sq.sign_at(lo) != 0:
                 raise ValueError("point interval is not a root")

@@ -11,9 +11,9 @@ x + 1; that is the minimal polynomial for every k <= 96 by a one-off
 factorisation, not certified at run time.  The thresholds are certified
 polynomial roots and their order matches the Sharkovskii order on
 periods; the accumulation point of the power-of-two thresholds is the
-Komornik-Loreti constant, computed here by certified bisection with a
-rigorous series tail bound and compared with each threshold exactly, on
-words.
+Komornik-Loreti constant, bracketed here by an exact bisection and
+compared with each threshold exactly; both decide on words, by the first
+difference between a quasi-greedy expansion of 1 and Thue-Morse.
 """
 
 from __future__ import annotations
@@ -157,26 +157,23 @@ def reduced_poly(k: int) -> IntPolynomial:
 
 
 def _kl_sign(x: Fraction) -> int:
-    """Exact sign of (sum of Thue-Morse weighted powers x^-k) - 1.
-
-    Truncates the series at N terms and bounds the rest by the geometric
-    tail x^-N / (x - 1); N doubles until the bound is decisive, which it
-    always becomes at rational x since the root is irrational.
-    """
-    n = 64
+    """+1 if the rational x in (1, 2) lies below the Komornik-Loreti
+    constant, else -1: the word rule of below_komornik_loreti on the
+    greedy digits of 1 at x = p/q, from the orbit n/d with n <- n p and
+    d <- d q per digit.  They never end, as base polynomials are monic, so
+    they are quasi-greedy; L doubles until t_1 ... t_L differs from them,
+    as it must: the constant is transcendental (Allouche-Cosnard 2000)."""
+    p, q = x.numerator, x.denominator
+    n = d = 1
+    digits = []
     while True:
-        tm = thue_morse(n + 1).bits
-        acc = Fraction(0)
-        for k in range(n, 0, -1):
-            acc = (acc + tm[k]) / x
-        tail = x ** -n / (x - 1)
-        if acc - 1 > 0:
-            return 1
-        if acc - 1 + tail < 0:
-            return -1
-        n *= 2
-        if n > 1 << 16:
-            raise RuntimeError("series sign did not stabilize")
+        for _ in range(max(64, len(digits))):
+            n, d = n * p, d * q
+            digits.append(int(n >= d))
+            n -= digits[-1] * d
+        word, tm = tuple(digits), thue_morse(len(digits) + 1).bits[1:]
+        if word != tm:
+            return 1 if word < tm else -1
 
 
 def kl_bracket(eps) -> tuple[Fraction, Fraction]:
@@ -186,7 +183,9 @@ def kl_bracket(eps) -> tuple[Fraction, Fraction]:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if eps < Fraction(1, 2 ** 100):  # the series sign costs more at each halving
+    # each halving needs more digits of 1, of larger integers: on a 2-CPU
+    # Xeon 16 ms at 2^-100, 0.25 s at 2^-200 and 6-8 s at 2^-400
+    if eps < Fraction(1, 2 ** 100):
         raise PreconditionViolated(f"eps must be at least 2^-100 (about 7.9e-31), "
                                    f"got {float(eps):.3g}")
     lo, hi = Fraction(3, 2), Fraction(2)

@@ -150,6 +150,23 @@ class TestIsolation:
             for (lo, hi), r in zip(ivals, roots):
                 assert lo <= r <= hi
 
+    @pytest.mark.parametrize("third", [1, 3])
+    def test_no_interval_ends_at_a_root_found_at_a_midpoint(self, third):
+        """1 + 2^-59 is a bisection midpoint and a root; the cell (1, 1 +
+        2^-59) left of it holds one root of the deflated polynomial, and
+        is split on until it no longer ends at 1 + 2^-59.  With third = 1
+        the split lands on the other root, with third = 3 it does not."""
+        t = 2 ** 60
+        p = IntPolynomial([-(third * t + 1), third * t]) * IntPolynomial([-(t + 2), t])
+        ivals = isolate_roots(p, 1, 2)
+        assert len(ivals) == 2 and (1 + Fraction(2, t),) * 2 in ivals
+        for a, b in ivals:
+            if a < b:
+                assert p.sign_at(a) != 0 and p.sign_at(b) != 0
+                assert CertifiedRoot(p, a, b).interval == (a, b)
+            else:
+                assert p.sign_at(a) == 0
+
 
 class TestCertifiedRoot:
     def test_refine_and_float(self):

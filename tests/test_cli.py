@@ -319,7 +319,7 @@ def test_malformed_input_is_rejected_without_traceback(capsys, argv):
     (["check-unique", "--beta", "poly:[-1,-1,1]@(1,x)", "--seq", "(01)^w"],
      "cannot parse base: 'poly:[-1,-1,1]@(1,x)'"),
     (["check-unique", "--beta", "poly:[0]@(1,2)", "--seq", "(01)^w"],
-     "base 'poly:[0]@(1,2)': polynomial vanishes at an isolation endpoint"),
+     "base 'poly:[0]@(1,2)': the zero polynomial isolates no root"),
     (["check-unique", "--beta", "poly:[1,0,1]@(1,2)", "--seq", "(01)^w"],
      "base 'poly:[1,0,1]@(1,2)': expected exactly one root in (1, 2), found 0"),
     (["expand", "--beta", "poly:[-1,-1,1]@(2,1)", "--x", "1"],

@@ -9,6 +9,7 @@ from univoque.errors import PreconditionViolated
 from univoque.expansions import quasi_greedy, solve_base
 from univoque.thresholds import (
     SharkovskiiKey,
+    _kl_sign,
     below_komornik_loreti,
     decompose,
     greedy_threshold,
@@ -22,7 +23,7 @@ from univoque.thresholds import (
     threshold_poly,
 )
 from univoque.words import EQUAL, GREATER, LESS, PeriodicSeq, is_extremal, lex_cmp
-from util import PAPER_MINIMAL_POLYS, SEED
+from util import PAPER_MINIMAL_POLYS, SEED, series_kl_sign
 
 TABLE_VALUES = {2: 1.61803, 3: 1.83929, 4: 1.75488, 5: 1.81240,
                 6: 1.78854, 7: 1.80509, 8: 1.78460}
@@ -210,6 +211,36 @@ class TestKomornikLoreti:
         # from (3/2, 2) stops at the first width below eps
         assert kl_bracket(Fraction(1, 100)) == coarse
         assert Fraction(1, 200) <= coarse[1] - coarse[0] < Fraction(1, 100)
+
+    def test_word_sign_matches_the_series(self):
+        """The bisection's word sign equals the truncated series with its
+        tail bound at the series' own bisection midpoints down to 2^-60,
+        at fractions of small denominator next to the constant and at
+        seeded dyadic and non-dyadic p/q in (3/2, 2)."""
+        def series_bisection(width):
+            lo, hi, mids = Fraction(3, 2), Fraction(2), []
+            while hi - lo >= width:
+                mids.append((lo + hi) / 2)
+                if series_kl_sign(mids[-1]) > 0:
+                    lo = mids[-1]
+                else:
+                    hi = mids[-1]
+            return (lo, hi), mids
+
+        assert kl_bracket(Fraction(1, 2 ** 40)) == series_bisection(Fraction(1, 2 ** 40))[0]
+        (lo, _), points = series_bisection(Fraction(1, 2 ** 60))
+        points += [lo.limit_denominator(10 ** k) for k in range(1, 16)]
+        rng = random.Random(SEED)
+        for _ in range(80):
+            j = rng.randint(2, 60)
+            points.append(Fraction(rng.randrange(3 << (j - 1), 1 << (j + 1)) | 1, 1 << j))
+            q = rng.randrange(3, 10 ** 6, 2)
+            points.append(Fraction(rng.randrange(3 * q // 2 + 1, 2 * q), q))
+        points = set(points)
+        assert len(points) >= 200
+        assert all(Fraction(3, 2) < x < 2 for x in points)
+        for x in points:
+            assert _kl_sign(x) == series_kl_sign(x), x
 
     def test_below_flags(self):
         for n, flag in TABLE_BELOW_KL.items():

@@ -9,7 +9,8 @@ from functools import lru_cache
 from itertools import product
 
 from univoque.algebraic import IntPolynomial
-from univoque.words import EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root, is_extremal
+from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
+                             is_extremal, thue_morse)
 from univoque.expansions import as_beta, expansion_value, is_parry_admissible
 from univoque.trapezoid import BOUNDARY_TOL, Itinerary
 
@@ -256,3 +257,27 @@ def bisection_compare(r1, r2) -> int:
         bisect(r1)
         if not equal:
             bisect(r2)
+
+
+def series_kl_sign(x: Fraction) -> int:
+    """Reference for thresholds._kl_sign: the exact sign of (sum of
+    Thue-Morse weighted powers x^-k) - 1, the series it replaced.
+
+    Truncates the series at N terms and bounds the rest by the geometric
+    tail x^-N / (x - 1); N doubles until the bound is decisive, which it
+    always becomes at rational x since the root is irrational.
+    """
+    n = 64
+    while True:
+        tm = thue_morse(n + 1).bits
+        acc = Fraction(0)
+        for k in range(n, 0, -1):
+            acc = (acc + tm[k]) / x
+        tail = x ** -n / (x - 1)
+        if acc - 1 > 0:
+            return 1
+        if acc - 1 + tail < 0:
+            return -1
+        n *= 2
+        if n > 1 << 16:
+            raise RuntimeError("series sign did not stabilize")

@@ -149,7 +149,9 @@ class _FloatOrbit:
     The base is taken as the exact real equal to the float; roundoff
     grows by a factor b per step.  A digit whose branch decision falls
     inside the tolerance or inside the accumulated roundoff band raises
-    rather than guesses, and leaves the state as it was.
+    rather than guesses.  ``extend`` runs the whole orbit in one loop on
+    local variables and writes the state back at the last good digit, so
+    a failed digit leaves the state as it was.
     """
 
     __slots__ = ("b", "tol", "t", "err")
@@ -160,17 +162,27 @@ class _FloatOrbit:
         self.t = t0
         self.err = 0.0
 
-    def step(self) -> int:
-        v = self.b * self.t
-        err = self.err * self.b + 1e-15 * max(1.0, v)
-        band = max(self.tol, err)
-        if abs(v - 1.0) <= band:
-            raise UndecidableDigitError(
-                f"orbit point {v/self.b!r} within {band:.3g} of branch point 1/b; "
-                "use an algebraic base for an exact decision")
-        digit = 1 if v > 1.0 else 0
-        self.t, self.err = v - digit, err
-        return digit
+    def extend(self, digits: list[int], n: int) -> None:
+        """Append greedy digits to `digits` until it holds n of them."""
+        b, tol, t, err = self.b, self.tol, self.t, self.err
+        append = digits.append
+        for _ in range(n - len(digits)):
+            v = b * t
+            e = err * b + 1e-15 * (v if v > 1.0 else 1.0)
+            band = e if e > tol else tol
+            if -band <= v - 1.0 <= band:
+                self.t, self.err = t, err
+                raise UndecidableDigitError(
+                    f"orbit point {v/b!r} within {band:.3g} of branch point 1/b; "
+                    "use an algebraic base for an exact decision")
+            if v > 1.0:
+                append(1)
+                t = v - 1.0
+            else:
+                append(0)
+                t = v
+            err = e
+        self.t, self.err = t, err
 
 
 class _AlgebraicOrbit:
@@ -253,6 +265,9 @@ class GreedyExpansion:
 
     def _extend_to(self, n: int) -> None:
         with self._lock:
+            if self._seen is None:  # float: no exact state, never finite or periodic
+                self._orbit.extend(self._digits, n)
+                return
             while len(self._digits) < n:
                 if self._finite_at is not None or self._cycle is not None:
                     if self._finite_at is not None:
@@ -261,18 +276,16 @@ class GreedyExpansion:
                     p, q = self._cycle
                     self._digits.append(self._digits[p + (len(self._digits) - p) % q])
                     continue
-                d = self._orbit.step()
-                self._digits.append(d)
-                if self._seen is not None:
-                    state = self._orbit.coeffs
-                    if state == (0,):
-                        self._finite_at = len(self._digits)
+                self._digits.append(self._orbit.step())
+                state = self._orbit.coeffs
+                if state == (0,):
+                    self._finite_at = len(self._digits)
+                else:
+                    k = self._seen.get(state)
+                    if k is None:
+                        self._seen[state] = len(self._digits)
                     else:
-                        k = self._seen.get(state)
-                        if k is None:
-                            self._seen[state] = len(self._digits)
-                        else:
-                            self._cycle = (k, len(self._digits) - k)
+                        self._cycle = (k, len(self._digits) - k)
 
     def digit(self, i: int) -> int:
         """0-based digit access."""
@@ -334,8 +347,12 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     if not 0 <= x <= 1:
         shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
         raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
-    orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
-    return BinaryWord(tuple(orbit.step() for _ in range(n)))
+    if exact:
+        orbit = _AlgebraicOrbit(beta, x)
+        return BinaryWord(tuple(orbit.step() for _ in range(n)))
+    digits: list[int] = []
+    _FloatOrbit(beta.value, beta.tolerance, x).extend(digits, n)
+    return BinaryWord(digits)
 
 
 def d_of_beta(beta, budget: Optional[int] = None) -> GreedyExpansion:

@@ -7,7 +7,8 @@ interleaves complement pairs, membership in the two-sided extremal set
 (sequences dominating every shift while their mirror is dominated by
 every shift), detection of half-mirror squares u = v mirror(v), and
 enumeration of primitive necklaces (rotation classes of aperiodic words)
-by Duval's algorithm.
+by Duval's algorithm over the reversed alphabet, which yields each
+class's largest rotation directly.
 
 Sequences are stored in canonical form: the period word is primitive and
 the preperiod is as short as possible.  Equality, hashing and printing
@@ -52,6 +53,13 @@ class BinaryWord:
 
     def __init__(self, bits: _BitsLike = ()):
         object.__setattr__(self, "_bits", _coerce_bits(bits))
+
+    @classmethod
+    def _trusted(cls, bits: tuple[int, ...]) -> "BinaryWord":
+        """A word on a tuple of ints already known to be 0s and 1s."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "_bits", bits)
+        return word
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -336,7 +344,7 @@ def split_halfmirror(u: _BitsLike) -> Optional[BinaryWord]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Necklace:
     """A rotation class of primitive binary words, anchored at the
     lexicographically largest rotation."""
@@ -345,30 +353,30 @@ class Necklace:
     period: int
 
 
-def _lyndon_words(n: int):
-    """Duval's algorithm; yields the aperiodic words of length exactly n
-    that are minimal in their rotation class."""
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if m == n:
-            yield tuple(w)
-        while len(w) < n:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 1:
-            w.pop()
-
-
 def primitive_necklaces(n: int) -> list[Necklace]:
     """The largest rotation of each primitive period-n word class, in
-    ascending order: complementing reverses the order, so these are
-    Duval's ascending Lyndon words complemented, in reverse."""
+    ascending order.
+
+    Duval's algorithm over the reversed alphabet (1 before 0) yields
+    exactly these words, largest first: decrement the last symbol, extend
+    periodically to length n, and drop trailing 0s.
+    """
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > NECKLACE_LIMIT:
         raise TooLargeError(
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
-    out = [Necklace(BinaryWord(tuple(1 - b for b in w)), n) for w in _lyndon_words(n)]
+    word = BinaryWord._trusted
+    out = []
+    w = [2]
+    while w:
+        w[-1] -= 1
+        m = len(w)
+        if m == n:
+            out.append(Necklace(word(tuple(w)), n))
+        while len(w) < n:
+            w.append(w[len(w) - m])
+        while w and w[-1] == 0:
+            w.pop()
     out.reverse()
     return out

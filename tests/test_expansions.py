@@ -32,7 +32,8 @@ from univoque.expansions import (
 )
 from univoque.thresholds import threshold_beta
 from univoque.words import GREATER, LESS, BinaryWord, PeriodicSeq, lex_cmp, mirror, shift
-from util import SEED, admissible_words, lcm_bound_cmp, primitive_words, random_purely_periodic
+from util import (SEED, admissible_words, float_orbit_reference, lcm_bound_cmp, primitive_words,
+                  random_purely_periodic)
 
 GOLDEN = "poly:[-1,-1,1]@(1,2)"
 B4 = "poly:[-1,1,-2,1]@(1,2)"  # x^3 - 2x^2 + x - 1
@@ -94,6 +95,61 @@ class TestGreedyDigits:
         assert str(greedy_digits(FloatBeta(1.9), 1, 8)) == "11101001"
 
 
+def _float_orbit_cases(count: int):
+    """Seeded (base, tolerance, x, n); every fifth base sits within 1e-11
+    of a threshold, where the orbit of 1 meets the branch point early."""
+    rng = random.Random(SEED)
+    near = [float(threshold_beta(k, 1e-15)) for k in range(2, 9)]
+    for i in range(count):
+        if i % 5 == 0:
+            b = rng.choice(near) + rng.uniform(-1e-11, 1e-11)
+        else:
+            b = rng.uniform(1.0 + 1e-9, 2.0 - 1e-9)
+        tol = rng.choice((1e-6, 1e-9, 1e-12, 1e-15))
+        x = rng.choice((0.0, 1.0, rng.random()))
+        yield b, tol, x, rng.randint(0, 300)
+
+
+class TestFloatOrbitLoop:
+    """The one-loop float orbit against the per-step loop it replaced."""
+
+    def test_digits_errors_and_state_match_per_step_loop(self):
+        kinds = set()
+        for b, tol, x, n in _float_orbit_cases(2000):
+            want, error, t, err = float_orbit_reference(b, tol, x, n)
+            kinds.add(error is None)
+            try:
+                got = greedy_digits(FloatBeta(b, tol), x, n).bits
+            except UndecidableDigitError as exc:
+                assert type(exc) is type(error) and str(exc) == str(error), (b, tol, x, n)
+            else:
+                assert error is None and got == tuple(want), (b, tol, x, n)
+            orbit, digits = _FloatOrbit(b, tol, x), []
+            try:
+                orbit.extend(digits, n)
+            except UndecidableDigitError as exc:
+                assert type(exc) is type(error) and str(exc) == str(error)
+            else:
+                assert error is None
+            assert digits == want and (orbit.t, orbit.err) == (t, err), (b, tol, x, n)
+        assert kinds == {True, False}
+
+    def test_certified_prefix_of_one_matches_per_step_loop(self):
+        kinds = set()
+        for b, tol, _, n in _float_orbit_cases(2000):
+            want, error, t, err = float_orbit_reference(b, tol, 1.0, n)
+            kinds.add(error is None)
+            exp = d_of_beta(FloatBeta(b, tol))
+            assert exp._certified_prefix(n) == tuple(want), (b, tol, n)
+            assert exp._stuck == (error is not None)
+            assert (exp._orbit.t, exp._orbit.err) == (t, err), (b, tol, n)
+            if error is not None:
+                with pytest.raises(UndecidableDigitError) as info:
+                    exp.digit(len(want))
+                assert str(info.value) == str(error)
+        assert kinds == {True, False}
+
+
 class TestExpansionOfOne:
     def test_finite_cases(self):
         exp = d_of_beta(BetaValue.parse(GOLDEN))
@@ -116,14 +172,23 @@ class TestExpansionOfOne:
         assert str(exp.prefix(5)) == "11101"
 
     def test_unknown_verdict_is_read_again_without_stepping(self, monkeypatch):
-        steps = []
-        step = _FloatOrbit.step
-        monkeypatch.setattr(_FloatOrbit, "step", lambda orbit: steps.append(1) or step(orbit))
+        calls = []
+        extend = _FloatOrbit.extend
+
+        def counting(orbit, digits, n):
+            calls.append(n)
+            return extend(orbit, digits, n)
+
+        monkeypatch.setattr(_FloatOrbit, "extend", counting)
         exp = d_of_beta(FloatBeta(1.87))
         assert exp.finiteness == ("unknown", exp.budget)
-        steps.clear()
+        assert calls == [exp.budget]  # the first read does enter the loop
+        digits = list(exp._digits)
+        assert 0 < len(digits) < exp.budget
+        calls.clear()
         assert exp.finiteness == ("unknown", exp.budget)
-        assert steps == []
+        assert calls == []
+        assert exp._digits == digits
         # a larger budget still extends an exact orbit past an unknown verdict
         beta = threshold_beta(24)
         assert d_of_beta(beta, budget=5).finiteness == ("unknown", 5)

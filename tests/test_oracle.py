@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -23,8 +24,9 @@ from univoque.oracle import (
     verify_ordering,
 )
 from univoque.thresholds import sharkovskii_cmp, threshold_beta
-from univoque.words import GREATER, LESS, PeriodicSeq, is_extremal, lex_cmp, mirror, shift
-from util import SEED
+from univoque.words import (GREATER, LESS, BinaryWord, PeriodicSeq, is_extremal, lex_cmp, mirror,
+                            shift)
+from util import SEED, primitive_words
 
 
 def _mobius(n: int) -> int:
@@ -66,6 +68,31 @@ class TestNecklaces:
                 assert bits == max(rots)
                 reps.append(bits)
             assert all(a < b for a, b in zip(reps, reps[1:]))
+
+    def test_full_lists_match_brute_force(self):
+        # the largest rotation of each class of primitive words, ascending
+        for n in range(1, 17):
+            want = sorted({max(w[i:] + w[:i] for i in range(n)) for w in primitive_words(n)})
+            got = primitive_necklaces(n)
+            assert [neck.representative.bits for neck in got] == want, n
+            assert all(neck.period == n for neck in got)
+
+    def test_representatives_are_plain_binary_words(self):
+        # built without re-validation, they must still behave as BinaryWord(bits)
+        for n in (1, 7, 12):
+            for neck in primitive_necklaces(n):
+                rep = neck.representative
+                assert type(rep) is BinaryWord and type(rep.bits) is tuple
+                assert all(type(b) is int for b in rep.bits)
+                assert rep == BinaryWord(rep.bits) and hash(rep) == hash(BinaryWord(rep.bits))
+
+    def test_necklace_is_slotted_and_frozen(self):
+        neck = primitive_necklaces(3)[0]
+        assert not hasattr(neck, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            neck.period = 4
+        assert neck == Necklace(BinaryWord("100"), 3)
+        assert hash(neck) == hash(Necklace(BinaryWord("100"), 3))
 
     def test_guard(self):
         with pytest.raises(TooLargeError):

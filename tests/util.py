@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import product
 
 from univoque.algebraic import IntPolynomial
+from univoque.errors import UndecidableDigitError
 from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
                              is_extremal, thue_morse)
 from univoque.expansions import as_beta, expansion_value, is_parry_admissible
@@ -281,3 +282,25 @@ def series_kl_sign(x: Fraction) -> int:
         n *= 2
         if n > 1 << 16:
             raise RuntimeError("series sign did not stabilize")
+
+
+def float_orbit_reference(b: float, tol: float, t: float, n: int):
+    """Reference for expansions._FloatOrbit.extend: the per-step loop it
+    replaced.  Returns (digits, error, t, err), where error is the
+    UndecidableDigitError of the failed digit or None, and (t, err) is the
+    orbit state after the last good digit.
+    """
+    err = 0.0
+    digits = []
+    for _ in range(n):
+        v = b * t
+        e = err * b + 1e-15 * max(1.0, v)
+        band = max(tol, e)
+        if abs(v - 1.0) <= band:
+            return digits, UndecidableDigitError(
+                f"orbit point {v/b!r} within {band:.3g} of branch point 1/b; "
+                "use an algebraic base for an exact decision"), t, err
+        digit = 1 if v > 1.0 else 0
+        t, err = v - digit, e
+        digits.append(digit)
+    return digits, None, t, err

@@ -47,6 +47,7 @@ from .errors import (
     UnivoqueError,
 )
 from .expansions import (
+    DEFAULT_DIGIT_BUDGET,
     AlgebraicBeta,
     as_beta,
     d_of_beta,
@@ -126,6 +127,9 @@ def _emit_root(args, out, beta, index: str, key: str) -> int:
 def cmd_table(args, out) -> int:
     if args.n_max < 2:
         raise PreconditionViolated("the table starts at period 2")
+    if args.n_max > DEFAULT_DIGIT_BUDGET:  # row n's expansion of 1 ends at digit n
+        raise UndecidedError(f"expansion of 1 for threshold {DEFAULT_DIGIT_BUDGET + 1} "
+                             "not finite within budget", DEFAULT_DIGIT_BUDGET)
     rows = []
     for n in range(2, args.n_max + 1):
         beta = thresholds.threshold_beta(n, args.eps)

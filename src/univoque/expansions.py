@@ -43,17 +43,6 @@ class BetaValue:
     def __float__(self) -> float:
         raise NotImplementedError
 
-    def greedy_one(self, budget: Optional[int] = None) -> "GreedyExpansion":
-        """Cached lazy digits of the expansion of 1 in this base."""
-        budget = budget or DEFAULT_DIGIT_BUDGET
-        exp = getattr(self, "_greedy_one", None)
-        if exp is None:
-            exp = GreedyExpansion(self, budget)
-            self._greedy_one = exp
-        elif budget > exp.budget:
-            exp.budget = budget
-        return exp
-
     @staticmethod
     def parse(text: str) -> "BetaValue":
         """Parse 'float:1.9' or 'poly:[-1,-1,1]@(1,2)' (constant term first)."""
@@ -245,17 +234,22 @@ class GreedyExpansion:
     concurrent readers are safe.  ``finiteness`` is one of
     ``("finite", n)`` (digit n is the last 1), ``("infinite", (p, q))``
     (the digit sequence is eventually periodic, detected from an exact
-    orbit repeat), or ``("unknown", budget)``.
+    orbit repeat), or ``("unknown", budget)``, decided once within the
+    first ``budget`` digits.  ``bound`` is the uniqueness criterion's
+    bound, kept once the verdict is known.
     """
 
-    def __init__(self, beta: BetaValue, budget: int = DEFAULT_DIGIT_BUDGET):
+    budget = DEFAULT_DIGIT_BUDGET
+
+    def __init__(self, beta: BetaValue):
         self.beta = beta
-        self.budget = budget
         self._digits: list[int] = []
         self._lock = threading.RLock()
         self._finite_at: Optional[int] = None
         self._cycle: Optional[tuple[int, int]] = None
-        self._stuck = False  # a float digit failed; its orbit state did not move
+        self._bound: Optional[PeriodicSeq] = None
+        # message of the float digit that failed; the orbit state did not move
+        self._failed: Optional[str] = None
         if isinstance(beta, AlgebraicBeta):
             self._orbit = _AlgebraicOrbit(beta, Fraction(1))
             self._seen = {self._orbit.coeffs: 0}
@@ -301,11 +295,11 @@ class GreedyExpansion:
         a digit has failed, later calls do not step again: the orbit
         state is unchanged, so the step would fail the same way."""
         with self._lock:
-            if not self._stuck:
+            if self._failed is None:
                 try:
                     self._extend_to(n)
-                except UndecidableDigitError:
-                    self._stuck = True
+                except UndecidableDigitError as exc:
+                    self._failed = str(exc)
             return tuple(self._digits[:n])
 
     @property
@@ -319,17 +313,20 @@ class GreedyExpansion:
                 return ("infinite", self._cycle)
             return ("unknown", self.budget)
 
-    def as_periodic_seq(self) -> Optional[PeriodicSeq]:
-        """Exact eventually periodic form of the digits, when known."""
-        kind = self.finiteness
-        if kind[0] == "finite":
-            n = kind[1]
-            return PeriodicSeq(self.prefix(n), (0,))
-        if kind[0] == "infinite":
-            p, q = kind[1]
-            bits = self.prefix(p + q).bits
-            return PeriodicSeq(bits[:p], bits[p:])
-        return None
+    @property
+    def bound(self) -> Optional[PeriodicSeq]:
+        """The bound of the uniqueness criterion: the quasi-greedy
+        expansion of 1 when the digits end, the greedy digits when they
+        repeat, None while the verdict is unknown.  Kept once known; an
+        unknown verdict is not kept, since a longer prefix may end it."""
+        if self._bound is None:
+            kind, at = self.finiteness
+            if kind == "finite":
+                self._bound = PeriodicSeq((), self._digits[:at - 1] + [0])
+            elif kind == "infinite":
+                p, q = at
+                self._bound = PeriodicSeq(self._digits[:p], self._digits[p:p + q])
+        return self._bound
 
 
 def greedy_digits(beta, x, n: int) -> BinaryWord:
@@ -355,9 +352,14 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     return BinaryWord(digits)
 
 
-def d_of_beta(beta, budget: Optional[int] = None) -> GreedyExpansion:
-    """The greedy expansion of 1 in the given base, computed lazily."""
-    return as_beta(beta).greedy_one(budget)
+def d_of_beta(beta) -> GreedyExpansion:
+    """The greedy expansion of 1 in the given base, computed lazily and
+    kept on the base: one expansion, one verdict and one bound per base."""
+    beta = as_beta(beta)
+    exp = getattr(beta, "_greedy_one", None)
+    if exp is None:
+        exp = beta._greedy_one = GreedyExpansion(beta)
+    return exp
 
 
 def quasi_greedy(beta) -> PeriodicSeq:
@@ -372,9 +374,7 @@ def quasi_greedy(beta) -> PeriodicSeq:
     if kind[0] != "finite":
         raise NotParryError(
             f"expansion of 1 is not known to be finite (status: {kind[0]})")
-    n = kind[1]
-    bits = exp.prefix(n).bits
-    return PeriodicSeq((), bits[:-1] + (0,))
+    return exp.bound
 
 
 def expansion_value(beta, s: PeriodicSeq) -> float:
@@ -449,11 +449,6 @@ def is_parry_admissible(s: PeriodicSeq) -> bool:
     return all(head[j:j + n] < head[:n] for j in range(1, n + 1))
 
 
-def _check_budget(digit_budget: Optional[int]) -> None:
-    if digit_budget is not None and digit_budget < 1:
-        raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
-
-
 def is_unique_expansion(beta, s: PeriodicSeq,
                         digit_budget: Optional[int] = None) -> bool:
     """Two-sided criterion for s being the only expansion of its value.
@@ -478,47 +473,45 @@ class _BoundPrefix:
     every shift of a period-q sequence: the bound's first p_b + q_b + q
     symbols (Fine-Wilf) when it is eventually periodic, else the digits
     of 1 certified within the budget, where equality is undecided.  It
-    depends only on the base, q and the budget, so one serves a scan."""
+    depends only on the base, q and the budget, so one serves a scan.
+    `undecided` is the error class and arguments a tie raises, None when
+    the bound is exact."""
 
-    __slots__ = ("top", "low", "exp", "budget")
+    __slots__ = ("top", "low", "undecided")
 
     def __init__(self, beta: BetaValue, q: int, digit_budget: Optional[int]):
-        _check_budget(digit_budget)
+        if digit_budget is not None and digit_budget < 1:
+            raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
         budget = digit_budget or 4 * q + 64
         exp = d_of_beta(beta)
-        # one verdict only: each retry steps into an undecidable digit again
-        kind = exp.finiteness[0]
-        if kind == "finite":
-            bound = quasi_greedy(beta)
-        elif kind == "infinite":
-            bound = exp.as_periodic_seq()
-        else:
-            bound = None
+        bound = exp.bound
         if bound is not None:
-            self.top = bound._head(len(bound.preperiod) + len(bound.period) + q)
-            self.exp = None
+            self.top = bound._head(len(bound._pre) + len(bound._per) + q)
+            self.undecided = None
         else:
             self.top = exp._certified_prefix(budget)
-            self.exp = exp
-        self.low = tuple(1 - d for d in self.top)
-        self.budget = budget
+            n = len(self.top)
+            if n < budget:  # digit n failed: a tie rests on it
+                self.undecided = (UndecidableDigitError, (exp._failed,))
+            else:
+                self.undecided = (UndecidedError, (
+                    f"no strict difference within {n} digits; raise the "
+                    "budget or use an algebraic base", n))
+        self.low = tuple([1 - d for d in self.top])
 
     def admits(self, period: tuple[int, ...], count: int) -> bool:
         """Whether the first count shifts of the purely periodic word
         (period)^w, read as windows of length len(top) of one prefix,
         lie strictly between mirror(top) and top."""
-        top, low, exp, n = self.top, self.low, self.exp, len(self.top)
+        top, low, n = self.top, self.low, len(self.top)
         head = period * ((count + n) // len(period) + 1)
         for j in range(count):
             t = head[j:j + n]
             if low < t < top:
                 continue
-            if exp is not None and t in (top, low):
-                if n == self.budget:
-                    raise UndecidedError(
-                        f"no strict difference within {n} digits; raise the "
-                        "budget or use an algebraic base", n)
-                exp.digit(n)  # digit n is undecidable: raises the orbit's error
+            if self.undecided is not None and t in (top, low):
+                error, args = self.undecided
+                raise error(*args)
             return False
         return True
 

@@ -73,6 +73,18 @@ class TestTable:
         assert "defining_poly" in out.splitlines()[0]
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("n_max", ["257", "1000"])
+    def test_rows_past_the_digit_budget_fail_before_any_orbit(self, capsys, monkeypatch, n_max):
+        # row n's expansion of 1 has n digits, so row 257 is undecided
+        def unreachable(*args):
+            raise AssertionError("a threshold was built")
+
+        monkeypatch.setattr(cli.thresholds, "threshold_beta", unreachable)
+        code, out, err = run(capsys, "table", n_max)
+        assert (code, out) == (2, "")
+        assert err == ("undecided: expansion of 1 for threshold 257 not finite "
+                       "within budget (budget 256)\n")
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_matches_golden(capsys, name):

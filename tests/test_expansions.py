@@ -141,7 +141,7 @@ class TestFloatOrbitLoop:
             kinds.add(error is None)
             exp = d_of_beta(FloatBeta(b, tol))
             assert exp._certified_prefix(n) == tuple(want), (b, tol, n)
-            assert exp._stuck == (error is not None)
+            assert exp._failed == (None if error is None else str(error))
             assert (exp._orbit.t, exp._orbit.err) == (t, err), (b, tol, n)
             if error is not None:
                 with pytest.raises(UndecidableDigitError) as info:
@@ -167,8 +167,9 @@ class TestExpansionOfOne:
         assert d_of_beta(AlgebraicBeta(reducible, 1, 2)).finiteness == ("finite", 2)
 
     def test_float_budget_unknown(self):
-        exp = d_of_beta(FloatBeta(1.9), budget=64)
-        assert exp.finiteness == ("unknown", 64)
+        exp = d_of_beta(FloatBeta(1.9))
+        assert exp.finiteness == ("unknown", exp.budget)
+        assert exp.bound is None
         assert str(exp.prefix(5)) == "11101"
 
     def test_unknown_verdict_is_read_again_without_stepping(self, monkeypatch):
@@ -189,17 +190,23 @@ class TestExpansionOfOne:
         assert exp.finiteness == ("unknown", exp.budget)
         assert calls == []
         assert exp._digits == digits
-        # a larger budget still extends an exact orbit past an unknown verdict
-        beta = threshold_beta(24)
-        assert d_of_beta(beta, budget=5).finiteness == ("unknown", 5)
-        assert d_of_beta(beta, budget=64).finiteness == ("finite", 24)
+
+    def test_unknown_bound_is_not_kept(self, monkeypatch):
+        # a prefix longer than the budget can still end the digits of an
+        # exact base, and the bound follows
+        monkeypatch.setattr(GreedyExpansion, "budget", 3)
+        exp = d_of_beta(threshold_beta(5))
+        assert exp.finiteness == ("unknown", 3) and exp.bound is None
+        exp.prefix(5)
+        assert exp.finiteness == ("finite", 5)
+        assert exp.bound == quasi_greedy(exp.beta) == PeriodicSeq.parse("(11010)^w")
 
     def test_infinite_detected_by_orbit_cycle(self):
         # base with expansion of one equal to 1 then 10 repeating
         beta = AlgebraicBeta(IntPolynomial([1, -2, -1, 1]), 1, 2)
         exp = d_of_beta(beta)
         assert exp.finiteness == ("infinite", (1, 2))
-        assert exp.as_periodic_seq() == PeriodicSeq("1", "10")
+        assert exp.bound == PeriodicSeq("1", "10")
         # cross-check against the exact solver for the same sequence
         approx = solve_base(PeriodicSeq("1", "10"))
         assert abs(float(approx) - float(beta)) < 1e-9
@@ -448,6 +455,20 @@ def _unique_digit_by_digit(beta, s: PeriodicSeq, budget: int) -> bool:
     return True
 
 
+def _derived_bound(exp):
+    """The criterion's bound derived from the expansion's verdict: the
+    quasi-greedy word when the digits end, the greedy periodic word
+    when they repeat, None when unknown."""
+    kind = exp.finiteness
+    if kind[0] == "finite":
+        return PeriodicSeq((), exp.prefix(kind[1]).bits[:-1] + (0,))
+    if kind[0] == "infinite":
+        p, q = kind[1]
+        bits = exp.prefix(p + q).bits
+        return PeriodicSeq(bits[:p], bits[p:])
+    return None
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -485,9 +506,10 @@ class TestUniquenessNearThresholds:
             return extend(exp, n)
 
         monkeypatch.setattr(GreedyExpansion, "_extend_to", counting)
-        bound = _BoundPrefix(FloatBeta(1.87), 2, None)
+        beta = FloatBeta(1.87)
+        bound = _BoundPrefix(beta, 2, None)
         assert len(calls) <= 2
-        assert bound.exp is not None and bound.exp.finiteness[0] == "unknown"
+        assert bound.undecided is not None and d_of_beta(beta).finiteness[0] == "unknown"
 
     def test_exact_bounds_match_lcm_bound_reference(self):
         # exact bases whose expansion of 1 is finite (the thresholds) or
@@ -502,15 +524,89 @@ class TestUniquenessNearThresholds:
         seqs = [PeriodicSeq((), w) for q in range(1, 8) for w in primitive_words(q)]
         kinds = set()
         for beta in bases:
-            kind = d_of_beta(beta).finiteness
-            kinds.add(kind[0])
-            bound = quasi_greedy(beta) if kind[0] == "finite" else d_of_beta(beta).as_periodic_seq()
+            kinds.add(d_of_beta(beta).finiteness[0])
+            bound = _derived_bound(d_of_beta(beta))
             low = mirror(bound)
             for s in seqs:
                 ref = all(lcm_bound_cmp(low, shift(s, j)) < 0 < lcm_bound_cmp(bound, shift(s, j))
                           for j in range(len(s.period)))
                 assert is_unique_expansion(beta, s) == ref, (beta, s)
         assert kinds == {"finite", "infinite"} and len(bases) > 15
+
+
+def _base_factories():
+    """Zero-argument builders of fresh bases of every kind the bound
+    takes: floats at three tolerances and within 1e-13 of thresholds,
+    finite and eventually periodic exact expansions, a rational base
+    whose expansion of 1 stays unknown, and a reducible polynomial."""
+    rng = random.Random(SEED + 7)
+    makers = []
+    for tol in (1e-6, 1e-9, 1e-12):
+        for b in (rng.uniform(1.05, 1.98) for _ in range(3)):
+            makers.append(lambda b=b, tol=tol: FloatBeta(b, tol))
+    for k in range(2, 7):
+        b = float(threshold_beta(k, 1e-15)) + rng.uniform(-1e-13, 1e-13)
+        makers.append(lambda b=b: FloatBeta(b))
+    makers += [lambda k=k: threshold_beta(k) for k in range(2, 11)]
+    for text in ("1(10)^w", "11(0110)^w", "110(10)^w", "1(1100)^w"):
+        w = PeriodicSeq.parse(text)
+        assert w.preperiod and is_parry_admissible(w)
+        makers.append(lambda w=w: solve_base(w))
+    makers.append(lambda: BetaValue.parse("poly:[-19,10]@(1,2)"))
+    reducible = IntPolynomial([-1, -1, 1]) * IntPolynomial([1, 1, 1])
+    makers.append(lambda: AlgebraicBeta(reducible, 1, 2))
+    return makers
+
+
+class TestKeptBound:
+    def test_shared_base_answers_like_fresh_bases(self):
+        rng = random.Random(SEED + 8)
+        seqs = [PeriodicSeq((), w) for q in range(1, 7) for w in primitive_words(q)]
+        queries = [(s, budget) for s in seqs for budget in (None, 1, 5, 40)]
+        seen, kinds = set(), set()
+        for make in _base_factories():
+            shared = make()
+            for s, budget in rng.sample(queries, 40):
+                got = _outcome(is_unique_expansion, shared, s, budget)
+                want = _outcome(is_unique_expansion, make(), s, budget)
+                assert got == want, (shared, s, budget)
+                seen.add(want if isinstance(want, bool) else want[0])
+            exp = d_of_beta(shared)
+            kinds.add(exp.finiteness[0])
+            assert exp.bound == _derived_bound(exp) == _derived_bound(d_of_beta(make())), shared
+            assert exp.bound is exp.bound  # kept, not derived again
+        assert seen == {True, False, UndecidedError, UndecidableDigitError}
+        assert kinds == {"finite", "infinite", "unknown"}
+
+    @pytest.mark.parametrize("budget, error", [(None, UndecidableDigitError),
+                                               (1, UndecidedError)])
+    def test_each_tie_raises_a_fresh_error(self, budget, error):
+        bound = _BoundPrefix(FloatBeta(1.87), 2, budget)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                bound.admits(bound.top, 1)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+        assert getattr(raised[0], "budget", None) == getattr(raised[1], "budget", None)
+
+    def test_warm_base_reads_the_verdict_once_at_most(self, monkeypatch):
+        calls = []
+        finiteness = GreedyExpansion.finiteness
+
+        def counting(exp):
+            calls.append(exp)
+            return finiteness.fget(exp)
+
+        monkeypatch.setattr(GreedyExpansion, "finiteness", property(counting))
+        s = PeriodicSeq.parse("(0011)^w")
+        for make in _base_factories():
+            beta = make()
+            _outcome(is_unique_expansion, beta, s)
+            calls.clear()
+            _outcome(is_unique_expansion, beta, s)
+            assert len(calls) <= 1, beta
 
 
 class TestShiftMap:

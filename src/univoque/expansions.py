@@ -290,8 +290,8 @@ class GreedyExpansion:
         self._extend_to(n)
         return BinaryWord(self._digits[:n])
 
-    def _certified_prefix(self, n: int) -> tuple[int, ...]:
-        """Up to n digits, ending before the first undecidable one.  Once
+    def _certify(self, n: int) -> None:
+        """Extend to n digits, or up to the first undecidable one.  Once
         a digit has failed, later calls do not step again: the orbit
         state is unchanged, so the step would fail the same way."""
         with self._lock:
@@ -300,13 +300,18 @@ class GreedyExpansion:
                     self._extend_to(n)
                 except UndecidableDigitError as exc:
                     self._failed = str(exc)
+
+    def _certified_prefix(self, n: int) -> tuple[int, ...]:
+        """Up to n digits, ending before the first undecidable one."""
+        with self._lock:
+            self._certify(n)
             return tuple(self._digits[:n])
 
     @property
     def finiteness(self):
         with self._lock:
             if self._finite_at is None and self._cycle is None:
-                self._certified_prefix(self.budget)
+                self._certify(self.budget)
             if self._finite_at is not None:
                 return ("finite", self._finite_at)
             if self._cycle is not None:
@@ -318,8 +323,11 @@ class GreedyExpansion:
         """The bound of the uniqueness criterion: the quasi-greedy
         expansion of 1 when the digits end, the greedy digits when they
         repeat, None while the verdict is unknown.  Kept once known; an
-        unknown verdict is not kept, since a longer prefix may end it."""
-        if self._bound is None:
+        unknown verdict is not kept, since a longer prefix may end it.
+        A float base is never finite or periodic, so its bound is None
+        at once, without reading a digit: the bound prefix then reads
+        the digits of 1 lazily, as deep as a comparison needs."""
+        if self._bound is None and self._seen is not None:
             kind, at = self.finiteness
             if kind == "finite":
                 self._bound = PeriodicSeq((), self._digits[:at - 1] + [0])
@@ -470,50 +478,78 @@ def is_unique_expansion(beta, s: PeriodicSeq,
 
 class _BoundPrefix:
     """The prefix `top` of the bound that decides its comparison with
-    every shift of a period-q sequence: the bound's first p_b + q_b + q
-    symbols (Fine-Wilf) when it is eventually periodic, else the digits
-    of 1 certified within the budget, where equality is undecided.  It
-    depends only on the base, q and the budget, so one serves a scan.
-    `undecided` is the error class and arguments a tie raises, None when
-    the bound is exact."""
+    every shift of a period-q sequence, and its mirror `low`.  When the
+    bound is eventually periodic, `top` is its first p_b + q_b + q
+    symbols (Fine-Wilf).  Otherwise (at a float base, or at a base whose
+    verdict is unknown) `top` holds the certified digits of 1 read so
+    far: min(q, budget) of them at first, and more, doubling up to the
+    budget, only when a shift ties with the prefix read, so each
+    comparison reads up to its first strict difference.  Where the
+    digits run out equality is undecided.  The prefix depends only on
+    the base, q and the budget, so one serves a scan."""
 
-    __slots__ = ("top", "low", "undecided")
+    __slots__ = ("top", "low", "_exp", "_budget", "_undecided")
 
     def __init__(self, beta: BetaValue, q: int, digit_budget: Optional[int]):
         if digit_budget is not None and digit_budget < 1:
             raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
-        budget = digit_budget or 4 * q + 64
         exp = d_of_beta(beta)
         bound = exp.bound
+        self._exp = self._budget = self._undecided = None
         if bound is not None:
             self.top = bound._head(len(bound._pre) + len(bound._per) + q)
-            self.undecided = None
+            self.low = tuple([1 - d for d in self.top])
         else:
-            self.top = exp._certified_prefix(budget)
-            n = len(self.top)
-            if n < budget:  # digit n failed: a tie rests on it
-                self.undecided = (UndecidableDigitError, (exp._failed,))
-            else:
-                self.undecided = (UndecidedError, (
-                    f"no strict difference within {n} digits; raise the "
-                    "budget or use an algebraic base", n))
-        self.low = tuple([1 - d for d in self.top])
+            self._exp, self._budget = exp, digit_budget or 4 * q + 64
+            self._read(min(q, self._budget))
+
+    def _read(self, n: int) -> None:
+        """Make `top` the first n certified digits of 1.  The prefix is
+        complete, and the expansion let go, once n is the budget or a
+        digit before n has failed."""
+        exp = self._exp
+        self.top = top = exp._certified_prefix(n)
+        self.low = tuple([1 - d for d in top])
+        if len(top) < n:  # digit len(top) failed: a tie rests on it
+            self._exp, self._undecided = None, (UndecidableDigitError, (exp._failed,))
+        elif n == self._budget:
+            self._exp, self._undecided = None, (UndecidedError, (
+                f"no strict difference within {n} digits; raise the "
+                "budget or use an algebraic base", n))
+
+    @property
+    def undecided(self):
+        """The error class and arguments a tie on the complete prefix
+        raises, None when the bound is exact.  Reading it completes the
+        prefix."""
+        if self._exp is not None:
+            self._read(self._budget)
+        return self._undecided
 
     def admits(self, period: tuple[int, ...], count: int) -> bool:
         """Whether the first count shifts of the purely periodic word
         (period)^w, read as windows of length len(top) of one prefix,
-        lie strictly between mirror(top) and top."""
-        top, low, n = self.top, self.low, len(self.top)
-        head = period * ((count + n) // len(period) + 1)
-        for j in range(count):
-            t = head[j:j + n]
-            if low < t < top:
-                continue
-            if self.undecided is not None and t in (top, low):
-                error, args = self.undecided
+        lie strictly between mirror(top) and top.  A shift that ties
+        with the prefix read so far extends it and is compared again."""
+        start = 0
+        while True:
+            top, low, n = self.top, self.low, len(self.top)
+            head = period * ((count + n) // len(period) + 1)
+            for j in range(start, count):
+                t = head[j:j + n]
+                if not low < t < top:
+                    break
+            else:
+                return True
+            if t != top and t != low:
+                return False
+            if self._exp is None:  # the prefix is complete
+                if self._undecided is None:
+                    return False
+                error, args = self._undecided
                 raise error(*args)
-            return False
-        return True
+            self._read(min(2 * n, self._budget))
+            start = j
 
 
 def shift_map(beta, x: float) -> float:

@@ -67,9 +67,10 @@ def exists_period_n_unique(beta, n: int,
     The search grows the largest rotation of each primitive period-n
     word symbol by symbol (FKM, alphabet reversed) and tests each
     complete word w as is_unique_expansion(beta, (w)^w, digit_budget)
-    would test it, against one bound prefix `top` shared by the whole
-    search.  It keeps, for every shift of the prefix so far, whether
-    that shift still ties with `top` or with its mirror `low`, and cuts
+    would test it, against one bound prefix shared by the whole search.
+    It keeps, for every shift of the prefix so far, whether that shift
+    still ties with the first n symbols of the bound prefix `top` or of
+    its mirror `low` (a position past the symbols read is a tie), and cuts
     the prefix when every word below it fails the test without raising:
     when some shift already lies above `top` (shift 0 of a largest
     rotation is the largest shift, so it lies above `top` too), or when
@@ -108,18 +109,27 @@ def exists_period_n_unique(beta, n: int,
         for c, q in ((1, p), (0, t + 1)) if word[t - p] else ((0, p),):
             word[t] = c
             tops = []
-            for j in top_ties + [t]:
+            for j in top_ties:
                 if t - j >= width or c == top[t - j]:
                     tops.append(j)
                 elif c:
                     break  # shift j lies above top
             else:
+                # the new shift t starts here: its first symbol is c
+                if not width or c == top[0]:
+                    tops.append(t)
+                elif c:
+                    continue  # shift t lies above top
                 lows, below = [], low_below
-                for j in low_ties + [t]:
+                for j in low_ties:
                     if t - j >= width or c == low[t - j]:
                         lows.append(j)
                     elif not c:
                         below = min(below, j)
+                if not width or c == low[0]:
+                    lows.append(t)
+                elif not c:
+                    below = min(below, t)
                 zero_below_top = not tops or tops[0] > 0
                 if zero_below_top and below < (lows[0] if lows else n):
                     continue

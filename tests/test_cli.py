@@ -88,9 +88,10 @@ class TestTable:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_matches_golden(capsys, name):
-    """Stdout and exit code of fixed commands, byte for byte, as each
-    printed from a fresh interpreter when recorded.  Certified intervals
-    and digits must not move when the arithmetic behind them changes.
+    """Stdout, stderr and exit code of fixed commands, byte for byte, as
+    each printed from a fresh interpreter when recorded.  Certified
+    intervals and digits must not move when the arithmetic behind them
+    changes, nor must the undecided messages and budgets of exit 2.
     A case with a timeout runs in a subprocess that is stopped after that
     many seconds, so a slow build fails the case instead of stalling."""
     case = GOLDEN_CASES[name]
@@ -98,12 +99,13 @@ def test_output_matches_golden(capsys, name):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "univoque.cli", *case["argv"]],
                               capture_output=True, env=env, timeout=case["timeout"])
-        code, out = proc.returncode, proc.stdout
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
-        code, text, _ = run(capsys, *case["argv"])
-        out = text.encode()
+        code, text, errtext = run(capsys, *case["argv"])
+        out, err = text.encode(), errtext.encode()
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (GOLDEN / f"{name}.err").read_bytes()
 
 
 class TestScalarCommands:

@@ -30,10 +30,12 @@ from univoque.expansions import (
     shift_map,
     solve_base,
 )
+from univoque.oracle import exists_period_n_unique
 from univoque.thresholds import threshold_beta
+from univoque.trapezoid import find_lr_cycles
 from univoque.words import GREATER, LESS, BinaryWord, PeriodicSeq, lex_cmp, mirror, shift
-from util import (SEED, admissible_words, float_orbit_reference, lcm_bound_cmp, primitive_words,
-                  random_purely_periodic)
+from util import (SEED, admissible_words, eager_exists, eager_lr_cycles, eager_unique,
+                  float_orbit_reference, lcm_bound_cmp, primitive_words, random_purely_periodic)
 
 GOLDEN = "poly:[-1,-1,1]@(1,2)"
 B4 = "poly:[-1,1,-2,1]@(1,2)"  # x^3 - 2x^2 + x - 1
@@ -581,11 +583,14 @@ class TestKeptBound:
     @pytest.mark.parametrize("budget, error", [(None, UndecidableDigitError),
                                                (1, UndecidedError)])
     def test_each_tie_raises_a_fresh_error(self, budget, error):
-        bound = _BoundPrefix(FloatBeta(1.87), 2, budget)
+        beta = FloatBeta(1.87)
+        bound = _BoundPrefix(beta, 2, budget)
+        # the whole certified prefix ties at every length the bound reads
+        tie = d_of_beta(beta)._certified_prefix(4 * 2 + 64)
         raised = []
         for _ in range(2):
             with pytest.raises(error) as info:
-                bound.admits(bound.top, 1)
+                bound.admits(tie, 1)
             raised.append(info.value)
         assert raised[0] is not raised[1]
         assert str(raised[0]) == str(raised[1])
@@ -607,6 +612,59 @@ class TestKeptBound:
             calls.clear()
             _outcome(is_unique_expansion, beta, s)
             assert len(calls) <= 1, beta
+
+
+class TestLazyBound:
+    """The bound prefix reads the digits of 1 as deep as a comparison
+    needs; every verdict and error is that of the prefix read whole."""
+
+    BUDGETS = (None, 1, 5, 40)
+
+    @staticmethod
+    def bases():
+        """_base_factories() and a float within its tolerance of 1, whose
+        first digit of 1 fails, so the prefix read is empty."""
+        return _base_factories() + [lambda: FloatBeta(1 + 1e-13)]
+
+    def test_unique_expansion_matches_eager_prefix(self):
+        seqs = [PeriodicSeq((), w) for q in range(1, 7) for w in primitive_words(q)]
+        seen = set()
+        for make in self.bases():
+            lazy, eager = make(), make()
+            for budget in self.BUDGETS:
+                for s in seqs:
+                    got = _outcome(is_unique_expansion, lazy, s, budget)
+                    want = _outcome(eager_unique, eager, s, budget)
+                    assert got == want, (lazy, s, budget)
+                    seen.add(want if isinstance(want, bool) else want[0])
+        assert seen == {True, False, UndecidedError, UndecidableDigitError}
+
+    def test_membership_search_matches_eager_prefix(self):
+        seen = set()
+        for make in self.bases():
+            for budget in self.BUDGETS:
+                for n in range(1, 9):
+                    got = _outcome(exists_period_n_unique, make(), n, budget)
+                    want = _outcome(eager_exists, make(), n, budget)
+                    assert got == want, (make(), n, budget)
+                    seen.add(want if isinstance(want, bool) else want[0])
+        assert seen == {True, False, UndecidedError, UndecidableDigitError}
+
+    def test_lr_cycles_match_eager_prefix(self):
+        seen = set()
+        for make in self.bases():
+            for n in range(1, 7):
+                got = _outcome(find_lr_cycles, make(), n)
+                want = _outcome(eager_lr_cycles, make(), n)
+                assert got == want, (make(), n)
+                seen.add(type(want) if isinstance(want, list) else want[0])
+        assert seen == {list, UndecidableDigitError}
+
+    def test_membership_search_reads_few_digits(self):
+        beta = FloatBeta(1.8)
+        n = 9
+        exists_period_n_unique(beta, n)
+        assert 0 < len(d_of_beta(beta)._digits) <= 2 * n
 
 
 class TestShiftMap:

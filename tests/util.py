@@ -9,11 +9,11 @@ from functools import lru_cache
 from itertools import product
 
 from univoque.algebraic import IntPolynomial
-from univoque.errors import UndecidableDigitError
+from univoque.errors import UndecidableDigitError, UndecidedError
 from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
-                             is_extremal, thue_morse)
-from univoque.expansions import as_beta, expansion_value, is_parry_admissible
-from univoque.trapezoid import BOUNDARY_TOL, Itinerary
+                             is_extremal, primitive_necklaces, thue_morse)
+from univoque.expansions import as_beta, d_of_beta, expansion_value, is_parry_admissible
+from univoque.trapezoid import BOUNDARY_TOL, Itinerary, decode_itinerary
 
 SEED = 20260810
 
@@ -304,3 +304,79 @@ def float_orbit_reference(b: float, tol: float, t: float, n: int):
         t, err = v - digit, e
         digits.append(digit)
     return digits, None, t, err
+
+
+class EagerBoundPrefix:
+    """Reference for expansions._BoundPrefix: the prefix read whole up
+    front.  The expansion's verdict is read first (up to its digit
+    budget, or to the failed float digit); without an exact bound, every
+    digit of 1 certified within the prefix budget is read at once, and a
+    tie on all of them is undecided."""
+
+    def __init__(self, beta, q: int, digit_budget=None):
+        budget = digit_budget or 4 * q + 64
+        exp = d_of_beta(beta)
+        bound = exp.bound if exp.finiteness[0] != "unknown" else None
+        self.undecided = None
+        if bound is not None:
+            self.top = bound.prefix(len(bound.preperiod) + len(bound.period) + q).bits
+        else:
+            self.top = exp._certified_prefix(budget)
+            n = len(self.top)
+            if n < budget:
+                self.undecided = (UndecidableDigitError, (exp._failed,))
+            else:
+                self.undecided = (UndecidedError, (
+                    f"no strict difference within {n} digits; raise the "
+                    "budget or use an algebraic base", n))
+        self.low = tuple(1 - d for d in self.top)
+
+    def admits(self, period: tuple[int, ...], count: int) -> bool:
+        n = len(self.top)
+        head = period * ((count + n) // len(period) + 1)
+        for j in range(count):
+            t = head[j:j + n]
+            if self.low < t < self.top:
+                continue
+            if self.undecided is not None and t in (self.top, self.low):
+                error, args = self.undecided
+                raise error(*args)
+            return False
+        return True
+
+
+def eager_unique(beta, s: PeriodicSeq, digit_budget=None) -> bool:
+    """Reference for is_unique_expansion on the eager prefix."""
+    q = len(s.period)
+    return EagerBoundPrefix(as_beta(beta), q, digit_budget).admits(s.period.bits, q)
+
+
+def eager_exists(beta, n: int, digit_budget=None) -> bool:
+    """Reference for exists_period_n_unique: every primitive necklace
+    against one eager prefix; an undecided necklace is raised only when
+    none passes."""
+    bound = EagerBoundPrefix(as_beta(beta), n, digit_budget)
+    undecided = None
+    for neck in primitive_necklaces(n):
+        try:
+            if bound.admits(neck.representative.bits, n):
+                return True
+        except (UndecidedError, UndecidableDigitError) as exc:
+            undecided = exc
+    if undecided is not None:
+        raise undecided
+    return False
+
+
+def eager_lr_cycles(beta, n: int) -> list[Itinerary]:
+    """Reference for find_lr_cycles: each necklace w (R for 1) decoded by
+    decode_itinerary, its first n shifts against one eager prefix for
+    period 2n."""
+    bound = EagerBoundPrefix(as_beta(beta), 2 * n, None)
+    found = []
+    for neck in primitive_necklaces(n):
+        word = ["R" if bit else "L" for bit in neck.representative.bits]
+        per = decode_itinerary(Itinerary((), word)).period.bits
+        if word == ["L"] or bound.admits(per * (2 * n // len(per)), n):
+            found.append(Itinerary((), word))
+    return found

@@ -10,8 +10,9 @@ shift on values.
 Bases come in two flavours.  A float base carries a tolerance: any
 decision that lands inside the accumulated uncertainty raises instead of
 guessing.  An algebraic base is a certified polynomial root: the orbit
-of 1 is tracked as exact polynomial remainders, so digits, finiteness of
-the expansion of 1, and all lexicographic decisions are exact.
+of 1 is tracked as exact polynomial remainders, integers over one
+denominator, so digits, finiteness of the expansion of 1, and all
+lexicographic decisions are exact.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ class _FloatOrbit:
     """
 
     __slots__ = ("b", "tol", "t", "err")
+    finite_at = cycle = None  # no exact state: it never ends or repeats
 
     def __init__(self, b: float, tol: float, t0: float):
         self.b = b
@@ -175,56 +177,70 @@ class _FloatOrbit:
 
 
 class _AlgebraicOrbit:
-    """Exact greedy digit orbit: t is a polynomial remainder in the base.
+    """Exact greedy digit orbit t -> b*t - digit: t is a polynomial
+    remainder modulo the root's `_sq`, which vanishes at the base, so
+    reduction never changes the value.  `_sq` need not be squarefree or
+    minimal; it has exactly one root in the interval, and it is simple.
 
-    Remainders are taken modulo the root's `_sq`, which vanishes at the
-    base, so reduction never changes the value.  `_sq` need not be
-    squarefree or minimal; it has exactly one root in the interval, and
-    it is simple.
+    The remainder is held as integer numerators over q L^k, with q the
+    start point's denominator and L > 0 the leading coefficient of the
+    primitive `_sq`: a reduction multiplies it by L, and L is divided
+    out again while it divides every numerator and k > 0.  So k is the
+    least that serves, and states are equal exactly when their rational
+    coefficients are, with no gcd taken.  States are kept, and an end
+    (`finite_at`: the digit count when b*t - 1 vanishes at the base) or
+    a repeat (`cycle` = (p, q): the state after p + q digits is the one
+    after p) recorded, only within the first DEFAULT_DIGIT_BUDGET
+    digits, where the verdict on the expansion of 1 is read; from an
+    end or a repeat on, `extend` copies digits instead of stepping.
     """
 
-    __slots__ = ("beta", "_sq", "coeffs")
+    __slots__ = ("_sign", "_sq", "_num", "_den", "_k", "_seen", "finite_at", "cycle")
 
     def __init__(self, beta: AlgebraicBeta, t0: Fraction):
-        self.beta = beta
-        self._sq = beta.root._sq
-        self.coeffs = self._reduce([Fraction(t0)])
+        self._sign = beta.root.sign_at_root
+        self._sq = beta.root._sq.coeffs
+        self._num, self._den, self._k = [t0.numerator], t0.denominator, 0
+        self._seen = {(0, t0.numerator): 0}
+        self.finite_at = self.cycle = None
 
-    def _reduce(self, c: list[Fraction]) -> tuple[Fraction, ...]:
-        sq = self._sq.coeffs
-        d = len(sq) - 1
-        lead = sq[-1]
-        while len(c) > d:
-            top = c.pop()
+    def extend(self, digits: list[int], n: int) -> None:
+        """Append greedy digits to `digits` until it holds n of them."""
+        sq, sign, seen, append = self._sq, self._sign, self._seen, digits.append
+        d, lead = len(sq) - 1, sq[-1]
+        num, den, k = self._num, self._den, self._k
+        i = len(digits)
+        while i < n and self.finite_at is None and self.cycle is None:
+            u = [0, *num]  # b*t, of degree at most d
+            top = u.pop() if len(u) > d else 0
             if top:
-                k = len(c) - d
-                f = top / lead
-                for i in range(d):
-                    c[k + i] -= f * sq[i]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return tuple(c)
-
-    @staticmethod
-    def _as_int_poly(coeffs) -> IntPolynomial:
-        den = 1
-        for f in coeffs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return IntPolynomial(tuple(int(f * den) for f in coeffs))
-
-    def step(self) -> int:
-        """Next digit.  The value reaches 0 exactly when b*t - 1 vanishes
-        at the base (a reducible polynomial can leave a nonzero remainder
-        there); the state is then (0,)."""
-        u = self._reduce([Fraction(0), *self.coeffs])
-        shifted = list(u)
-        shifted[0] -= 1
-        s = self.beta.sign_at_root(self._as_int_poly(shifted))
-        if s < 0:
-            self.coeffs = u
-            return 0
-        self.coeffs = (Fraction(0),) if s == 0 else tuple(shifted)
-        return 1
+                u = [lead * c - top * s for c, s in zip(u, sq)]
+                den *= lead
+                k += lead > 1  # a monic `_sq` keeps k at 0
+            while len(u) > 1 and not u[-1]:
+                u.pop()
+            while k and not any(c % lead for c in u):
+                u = [c // lead for c in u]
+                den //= lead
+                k -= 1
+            v = [u[0] - den, *u[1:]]  # b*t - 1, reduced too: k > 0 makes L divide den
+            s = sign(IntPolynomial(v))
+            append(int(s >= 0))
+            i += 1
+            # at 0 (a reducible `_sq` can leave a nonzero remainder there)
+            # the next step divides den back to q
+            num = u if s < 0 else v if s > 0 else [0]
+            if i <= DEFAULT_DIGIT_BUDGET:
+                if s == 0:
+                    self.finite_at = i
+                else:
+                    j = seen.setdefault((k, *num), i)
+                    if j < i:
+                        self.cycle = (j, i - j)
+        self._num, self._den, self._k = num, den, k
+        p, q = self.cycle or (i, 0)
+        for i in range(i, n):  # past an end or a repeat
+            append(digits[p + (i - p) % q] if q else 0)
 
 
 class GreedyExpansion:
@@ -245,48 +261,28 @@ class GreedyExpansion:
         self.beta = beta
         self._digits: list[int] = []
         self._lock = threading.RLock()
-        self._finite_at: Optional[int] = None
-        self._cycle: Optional[tuple[int, int]] = None
         self._bound: Optional[PeriodicSeq] = None
         # message of the float digit that failed; the orbit state did not move
         self._failed: Optional[str] = None
         if isinstance(beta, AlgebraicBeta):
             self._orbit = _AlgebraicOrbit(beta, Fraction(1))
-            self._seen = {self._orbit.coeffs: 0}
         else:
             self._orbit = _FloatOrbit(beta.value, beta.tolerance, 1.0)
-            self._seen = None
 
     def _extend_to(self, n: int) -> None:
         with self._lock:
-            if self._seen is None:  # float: no exact state, never finite or periodic
-                self._orbit.extend(self._digits, n)
-                return
-            while len(self._digits) < n:
-                if self._finite_at is not None or self._cycle is not None:
-                    if self._finite_at is not None:
-                        self._digits.append(0)
-                        continue
-                    p, q = self._cycle
-                    self._digits.append(self._digits[p + (len(self._digits) - p) % q])
-                    continue
-                self._digits.append(self._orbit.step())
-                state = self._orbit.coeffs
-                if state == (0,):
-                    self._finite_at = len(self._digits)
-                else:
-                    k = self._seen.get(state)
-                    if k is None:
-                        self._seen[state] = len(self._digits)
-                    else:
-                        self._cycle = (k, len(self._digits) - k)
+            self._orbit.extend(self._digits, n)
 
     def digit(self, i: int) -> int:
         """0-based digit access."""
+        if i < 0:
+            raise ValueError("digit index must be nonnegative")
         self._extend_to(i + 1)
         return self._digits[i]
 
     def prefix(self, n: int) -> BinaryWord:
+        if n < 0:
+            raise ValueError("digit count must be nonnegative")
         self._extend_to(n)
         return BinaryWord(self._digits[:n])
 
@@ -310,12 +306,12 @@ class GreedyExpansion:
     @property
     def finiteness(self):
         with self._lock:
-            if self._finite_at is None and self._cycle is None:
+            if self._orbit.finite_at is None and self._orbit.cycle is None:
                 self._certify(self.budget)
-            if self._finite_at is not None:
-                return ("finite", self._finite_at)
-            if self._cycle is not None:
-                return ("infinite", self._cycle)
+            if self._orbit.finite_at is not None:
+                return ("finite", self._orbit.finite_at)
+            if self._orbit.cycle is not None:
+                return ("infinite", self._orbit.cycle)
             return ("unknown", self.budget)
 
     @property
@@ -323,11 +319,12 @@ class GreedyExpansion:
         """The bound of the uniqueness criterion: the quasi-greedy
         expansion of 1 when the digits end, the greedy digits when they
         repeat, None while the verdict is unknown.  Kept once known; an
-        unknown verdict is not kept, since a longer prefix may end it.
+        unknown verdict is not kept, as a longer prefix may end it when
+        the budget is below DEFAULT_DIGIT_BUDGET.
         A float base is never finite or periodic, so its bound is None
         at once, without reading a digit: the bound prefix then reads
         the digits of 1 lazily, as deep as a comparison needs."""
-        if self._bound is None and self._seen is not None:
+        if self._bound is None and isinstance(self.beta, AlgebraicBeta):
             kind, at = self.finiteness
             if kind == "finite":
                 self._bound = PeriodicSeq((), self._digits[:at - 1] + [0])
@@ -352,11 +349,9 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     if not 0 <= x <= 1:
         shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
         raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
-    if exact:
-        orbit = _AlgebraicOrbit(beta, x)
-        return BinaryWord(tuple(orbit.step() for _ in range(n)))
+    orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
     digits: list[int] = []
-    _FloatOrbit(beta.value, beta.tolerance, x).extend(digits, n)
+    orbit.extend(digits, n)
     return BinaryWord(digits)
 
 

@@ -19,6 +19,7 @@ from univoque.expansions import (
     BetaValue,
     FloatBeta,
     GreedyExpansion,
+    _AlgebraicOrbit,
     _BoundPrefix,
     _FloatOrbit,
     d_of_beta,
@@ -35,7 +36,8 @@ from univoque.thresholds import threshold_beta
 from univoque.trapezoid import find_lr_cycles
 from univoque.words import GREATER, LESS, BinaryWord, PeriodicSeq, lex_cmp, mirror, shift
 from util import (SEED, admissible_words, eager_exists, eager_lr_cycles, eager_unique,
-                  float_orbit_reference, lcm_bound_cmp, primitive_words, random_purely_periodic)
+                  float_orbit_reference, fraction_orbit_digits, lcm_bound_cmp, primitive_words,
+                  random_purely_periodic)
 
 GOLDEN = "poly:[-1,-1,1]@(1,2)"
 B4 = "poly:[-1,1,-2,1]@(1,2)"  # x^3 - 2x^2 + x - 1
@@ -152,6 +154,51 @@ class TestFloatOrbitLoop:
         assert kinds == {True, False}
 
 
+class TestIntegerOrbit:
+    """The integer orbit against the Fraction orbit it replaced."""
+
+    BASES = {
+        "19/10": lambda: BetaValue.parse("poly:[-19,10]@(1,2)"),
+        "187/100": lambda: BetaValue.parse("poly:[-187,100]@(1,2)"),
+        # reducible, with leading coefficients 2 and 3
+        "cubic*(2x-5)": lambda: AlgebraicBeta(
+            IntPolynomial([1, -2, -1, 1]) * IntPolynomial([-5, 2]), 1, 2),
+        "golden*(3x-7)": lambda: AlgebraicBeta(
+            IntPolynomial([-1, -1, 1]) * IntPolynomial([-7, 3]), 1, 2),
+        # the orbit of 1 repeats: 1(10)^w
+        "cubic": lambda: AlgebraicBeta(IntPolynomial([1, -2, -1, 1]), 1, 2),
+    }
+
+    @staticmethod
+    def _verdict(orbit):
+        if orbit.finite_at is not None:
+            return ("finite", orbit.finite_at)
+        if orbit.cycle is not None:
+            return ("infinite", orbit.cycle)
+        return None
+
+    def test_digits_of_one_at_thresholds(self):
+        for k in range(2, 25):
+            want, verdict = fraction_orbit_digits(threshold_beta(k), 1, 300)
+            exp = d_of_beta(threshold_beta(k))
+            assert exp.finiteness == verdict, k
+            assert exp.prefix(300).bits == want, k
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_greedy_digits_and_verdicts(self, name):
+        make = self.BASES[name]
+        for x in (0, 1, Fraction(1, 3), Fraction(2, 7), Fraction(5, 8)):
+            want, verdict = fraction_orbit_digits(make(), x, 300)
+            assert greedy_digits(make(), x, 300).bits == want, (name, x)
+            # in two calls, so the second starts from the state the first left
+            orbit, digits = _AlgebraicOrbit(make(), Fraction(x)), []
+            orbit.extend(digits, 137)
+            orbit.extend(digits, 300)
+            assert tuple(digits) == want, (name, x)
+            if x:  # 0 is a fixed point, which the reference reads as an end
+                assert self._verdict(orbit) == verdict, (name, x)
+
+
 class TestExpansionOfOne:
     def test_finite_cases(self):
         exp = d_of_beta(BetaValue.parse(GOLDEN))
@@ -202,6 +249,26 @@ class TestExpansionOfOne:
         exp.prefix(5)
         assert exp.finiteness == ("finite", 5)
         assert exp.bound == quasi_greedy(exp.beta) == PeriodicSeq.parse("(11010)^w")
+
+    def test_verdict_does_not_depend_on_call_order(self):
+        # the digits of 1 at the 260th threshold end at digit 260, past the
+        # budget of 256: reading them first must not turn the verdict that
+        # a fresh expansion gives, unknown, to finite
+        exp = d_of_beta(threshold_beta(260))
+        bits = exp.prefix(300).bits
+        assert bits[259] == 1 and not any(bits[260:])
+        assert exp.finiteness == ("unknown", exp.budget) == ("unknown", 256)
+        assert exp.bound is None
+
+    @pytest.mark.parametrize("text", [GOLDEN, "float:1.9"])
+    def test_negative_count_or_index_raises(self, text):
+        exp = d_of_beta(BetaValue.parse(text))
+        for _ in range(2):  # on a fresh expansion, then after digits were read
+            with pytest.raises(ValueError, match="nonnegative"):
+                exp.prefix(-1)
+            with pytest.raises(ValueError, match="nonnegative"):
+                exp.digit(-1)
+            exp.prefix(5)
 
     def test_infinite_detected_by_orbit_cycle(self):
         # base with expansion of one equal to 1 then 10 repeating

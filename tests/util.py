@@ -12,7 +12,8 @@ from univoque.algebraic import IntPolynomial
 from univoque.errors import UndecidableDigitError, UndecidedError
 from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
                              is_extremal, primitive_necklaces, thue_morse)
-from univoque.expansions import as_beta, d_of_beta, expansion_value, is_parry_admissible
+from univoque.expansions import (DEFAULT_DIGIT_BUDGET, as_beta, d_of_beta, expansion_value,
+                                 is_parry_admissible)
 from univoque.trapezoid import BOUNDARY_TOL, Itinerary, decode_itinerary
 
 SEED = 20260810
@@ -380,3 +381,69 @@ def eager_lr_cycles(beta, n: int) -> list[Itinerary]:
         if word == ["L"] or bound.admits(per * (2 * n // len(per)), n):
             found.append(Itinerary((), word))
     return found
+
+
+class FractionOrbit:
+    """Reference for expansions._AlgebraicOrbit: the exact orbit it
+    replaced, with Fraction coefficients reduced modulo the root's `_sq`
+    and one lcm over the denominators per digit."""
+
+    def __init__(self, beta, t0: Fraction):
+        self.beta = beta
+        self._sq = beta.root._sq
+        self.coeffs = self._reduce([Fraction(t0)])
+
+    def _reduce(self, c: list) -> tuple:
+        sq = self._sq.coeffs
+        d = len(sq) - 1
+        lead = sq[-1]
+        while len(c) > d:
+            top = c.pop()
+            if top:
+                k = len(c) - d
+                f = top / lead
+                for i in range(d):
+                    c[k + i] -= f * sq[i]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    @staticmethod
+    def _as_int_poly(coeffs) -> IntPolynomial:
+        den = 1
+        for f in coeffs:
+            den = den * f.denominator // math.gcd(den, f.denominator)
+        return IntPolynomial(tuple(int(f * den) for f in coeffs))
+
+    def step(self) -> int:
+        """Next digit; the state is (0,) once b*t - 1 vanishes at the base."""
+        u = self._reduce([Fraction(0), *self.coeffs])
+        shifted = list(u)
+        shifted[0] -= 1
+        s = self.beta.sign_at_root(self._as_int_poly(shifted))
+        if s < 0:
+            self.coeffs = u
+            return 0
+        self.coeffs = (Fraction(0),) if s == 0 else tuple(shifted)
+        return 1
+
+
+def fraction_orbit_digits(beta, x, n: int):
+    """n digits of x from FractionOrbit, one step each, and the verdict
+    its caller drew from the states: ("finite", i) when the state after
+    i digits is 0, ("infinite", (p, q)) when the state after p + q digits
+    is the one after p, the first of either within DEFAULT_DIGIT_BUDGET
+    digits, or None."""
+    orbit = FractionOrbit(beta, Fraction(x))
+    seen = {orbit.coeffs: 0}
+    digits, verdict = [], None
+    for i in range(1, n + 1):
+        digits.append(orbit.step())
+        if verdict is None and i <= DEFAULT_DIGIT_BUDGET:
+            if orbit.coeffs == (0,):
+                verdict = ("finite", i)
+            else:
+                p = seen.setdefault(orbit.coeffs, i)
+                if p < i:
+                    verdict = ("infinite", (p, i - p))
+    return tuple(digits), verdict

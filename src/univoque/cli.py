@@ -35,11 +35,6 @@ from fractions import Fraction
 from . import oracle, thresholds, trapezoid
 from .algebraic import poly_str
 from .errors import (
-    BoundaryAmbiguityError,
-    MiddleGapError,
-    NotInImageError,
-    NotParryError,
-    OutOfDomainError,
     PreconditionViolated,
     TooLargeError,
     UndecidableDigitError,
@@ -56,18 +51,6 @@ from .expansions import (
     shift_map,
 )
 from .words import NECKLACE_LIMIT, PeriodicSeq
-
-_DOMAIN_ERRORS = (
-    PreconditionViolated,
-    NotParryError,
-    MiddleGapError,
-    OutOfDomainError,
-    BoundaryAmbiguityError,
-    NotInImageError,
-    TooLargeError,
-    ValueError,
-)
-
 
 def _eps(text: str) -> float:
     """argparse type of every --eps: a finite number > 0."""
@@ -210,9 +193,9 @@ def cmd_orbit(args, out) -> int:
     else:
         params = trapezoid.as_params(beta)
         for _ in range(args.steps):
-            sym = trapezoid.itinerary(params, x, 1).preperiod[0]
+            sym, y = params._step(x)
             lines.append(f"{sym} {x!r}\n")
-            x = trapezoid.trapezoid_map(params, x)
+            x = y
         lines.append(f". {x!r}\n")
     out.write("".join(lines))
     return 0
@@ -295,11 +278,10 @@ def cmd_conjecture_2n(args, out) -> int:
         x = params.plateau()[2]
         try:
             for j in range(4 * length):
-                sym = trapezoid.itinerary(params, x, 1).preperiod[0]
+                sym, x = params._step(x)
                 if sym == "C":
                     c_len = str(j + 1)
                     break
-                x = trapezoid.trapezoid_map(params, x)
         except UnivoqueError:
             c_len = "?"
         lines.append(f"beta={b:.6f} lr_{length}cycle={lr} "
@@ -411,7 +393,7 @@ def main(argv=None) -> int:
     except UndecidableDigitError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except (UnivoqueError, ValueError) as exc:  # any other domain error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

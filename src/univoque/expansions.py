@@ -5,7 +5,7 @@ and its quasi-greedy periodic form, evaluation of digit sequences, the
 inverse problem (solving exactly for the base that makes an eventually
 periodic digit sequence expand 1), Parry admissibility, the two-sided
 lexicographic uniqueness criterion, and the gap map realizing the digit
-shift on values.
+shift on values, with its continuous extension across the gap.
 
 Bases come in two flavours.  A float base carries a tolerance: any
 decision that lands inside the accumulated uncertainty raises instead of
@@ -551,13 +551,24 @@ def shift_map(beta, x: float) -> float:
     """The map realizing the digit shift on values: b*x left of the gap,
     b*x - 1 right of it.  Undefined on the middle gap [1/b, 1/(b(b-1))],
     which values with a unique expansion never visit."""
-    b = float(as_beta(beta))
-    dom_hi = 1.0 / (b - 1.0)
-    if x < 0.0 or x > dom_hi:
-        raise OutOfDomainError(f"x={x} outside [0, {dom_hi}]")
-    if x < 1.0 / b:
+    return _gap_map(float(as_beta(beta)), x, bridge=False)
+
+
+def _gap_map(b, x, bridge: bool = True):
+    """The gap map at b in b's own arithmetic: float in, float out;
+    Fraction in, exact Fraction out.  On the middle gap it raises
+    MiddleGapError, or by default follows the continuous extension:
+    the straight line from (1/b, 1) down to (1/(b(b-1)), (2-b)/(b-1))."""
+    l_hi = 1 / b
+    g_hi = 1 / (b * (b - 1))
+    top = 1 / (b - 1)
+    if x < 0 or x > top:
+        raise OutOfDomainError(f"x={x} outside [0, {top}]")
+    if x < l_hi:
         return b * x
-    if x <= 1.0 / (b * (b - 1.0)):
-        raise MiddleGapError(
-            f"x={x} lies in the middle gap [{1.0/b}, {1.0/(b*(b-1.0))}]")
-    return b * x - 1.0
+    if x <= g_hi:
+        if not bridge:
+            raise MiddleGapError(f"x={x} lies in the middle gap [{l_hi}, {g_hi}]")
+        y0, y1 = 1, (2 - b) / (b - 1)
+        return y0 + (x - l_hi) * (y1 - y0) / (g_hi - l_hi)
+    return b * x - 1

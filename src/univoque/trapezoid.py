@@ -12,13 +12,22 @@ period exactly on half-mirror squares (there the shifted sequence is the
 mirror, so the run starts repeat after half the period), and is an order
 isomorphism onto the unimodal order.
 
+The map is evaluated in floats at float(beta).  One step gives a point's
+symbol and image; it refuses a point outside the domain or within the
+fixed BOUNDARY_TOL = 1e-10 of a plateau edge, and decides every other
+point as the float falls.  That band tracks no roundoff, which grows
+like b^k * 1e-16 over k steps, so the symbols of trapezoid_map,
+itinerary, `orbit --map T` and the plateau column of `conjecture-2n` are
+not certified (ROADMAP item 9).  The LR cycles below do not use it.
+
 Also here: the plateau-avoiding (LR) cycles, found as the decoded
 periodic unique expansions (the link between the two families on which
 the paper's second proof of the threshold order rests), clipped
 trapezoid variants with a lowered plateau, and the continuous-extension
 demonstration producing a genuine 3-periodic point above the period-4
 threshold, solved as one linear equation and certified by exact
-evaluation of the extension.
+evaluation of the extension, which shares one definition with the gap
+map (expansions._gap_map).
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .errors import (
     OutOfDomainError,
     PreconditionViolated,
 )
-from .expansions import BetaValue, _BoundPrefix, as_beta
+from .expansions import BetaValue, _BoundPrefix, _gap_map, as_beta
 from .thresholds import threshold_beta
 from .words import EQUAL, GREATER, LESS, PeriodicSeq, _EventuallyPeriodic, primitive_necklaces
 
@@ -85,7 +94,9 @@ class TrapezoidParams:
 
     A clip saws the top off at level b*x1 (side 'left', x1 inside the
     rising branch) or b/(b-1) - b*x1 (side 'right', x1 inside the
-    falling branch), widening the plateau symmetrically.
+    falling branch), widening the plateau symmetrically.  The domain
+    top and the plateau are worked out once, in floats at float(beta),
+    when the parameters are built.
     """
 
     beta: BetaValue
@@ -93,30 +104,50 @@ class TrapezoidParams:
 
     def __post_init__(self):
         self.beta = as_beta(self.beta)
-        b = float(self.beta)
-        if self.clip is not None:
-            side, x1 = self.clip
-            if side not in ("left", "right"):
-                raise ValueError("clip side must be 'left' or 'right'")
-            if side == "left" and not 0.0 < x1 < 1.0 / b:
+        b = self._b = float(self.beta)
+        top = self._top = 1.0 / (b - 1.0)
+        self._fall = b / (b - 1.0)  # the falling branch is fall - b*x
+        l_hi, r_lo = 1.0 / b, 1.0 / (b * (b - 1.0))
+        self._plateau = l_hi, r_lo, 1.0
+        if self.clip is None:
+            return
+        side, x1 = self.clip
+        if side not in ("left", "right"):
+            raise ValueError("clip side must be 'left' or 'right'")
+        if side == "left":
+            if not 0.0 < x1 < l_hi:
                 raise PreconditionViolated("left clip point must lie in the rising branch")
-            if side == "right" and not 1.0 / (b * (b - 1.0)) < x1 < 1.0 / (b - 1.0):
+            self._plateau = x1, top - x1, b * x1
+        else:
+            if not r_lo < x1 < top:
                 raise PreconditionViolated("right clip point must lie in the falling branch")
+            self._plateau = top - x1, x1, self._fall - b * x1
 
     def domain_top(self) -> float:
-        b = float(self.beta)
-        return 1.0 / (b - 1.0)
+        return self._top
 
     def plateau(self) -> tuple[float, float, float]:
         """(left edge, right edge, level) of the flat part."""
-        b = float(self.beta)
-        top = self.domain_top()
-        if self.clip is None:
-            return 1.0 / b, 1.0 / (b * (b - 1.0)), 1.0
-        side, x1 = self.clip
-        if side == "left":
-            return x1, top - x1, b * x1
-        return top - x1, x1, b / (b - 1.0) - b * x1
+        return self._plateau
+
+    def _step(self, x) -> tuple[str, float]:
+        """Branch symbol and image of a point, in floats.  Points within
+        BOUNDARY_TOL of a plateau edge raise, except exact hits, which
+        go to the closed side (the plateau is closed, the outer branches
+        open at its edges)."""
+        top = self._top
+        lo_c, hi_c, level = self._plateau
+        if x < -BOUNDARY_TOL or x > top + BOUNDARY_TOL:
+            raise OutOfDomainError(f"x={x} outside [0, {top}]")
+        for edge in (lo_c, hi_c):
+            if 0.0 < abs(x - edge) < BOUNDARY_TOL:
+                raise BoundaryAmbiguityError(
+                    f"x={x} within {BOUNDARY_TOL} of branch boundary {edge}")
+        if x < lo_c:
+            return "L", self._b * x
+        if x <= hi_c:
+            return "C", level
+        return "R", self._fall - self._b * x
 
 
 def as_params(p) -> TrapezoidParams:
@@ -125,35 +156,9 @@ def as_params(p) -> TrapezoidParams:
     return TrapezoidParams(as_beta(p))
 
 
-def _classify(params: TrapezoidParams, x: float) -> str:
-    """Branch symbol of a point.  Points within tolerance of a plateau
-    edge raise, except exact hits, which go to the closed side (the
-    plateau is closed, the outer branches open at its edges)."""
-    top = params.domain_top()
-    lo_c, hi_c, _ = params.plateau()
-    if x < -BOUNDARY_TOL or x > top + BOUNDARY_TOL:
-        raise OutOfDomainError(f"x={x} outside [0, {top}]")
-    for edge in (lo_c, hi_c):
-        if 0.0 < abs(x - edge) < BOUNDARY_TOL:
-            raise BoundaryAmbiguityError(
-                f"x={x} within {BOUNDARY_TOL} of branch boundary {edge}")
-    if x < lo_c:
-        return "L"
-    if x <= hi_c:
-        return "C"
-    return "R"
-
-
 def trapezoid_map(params, x: float) -> float:
     """One step of the trapezoidal map (clipped variant included)."""
-    params = as_params(params)
-    b = float(params.beta)
-    sym = _classify(params, x)
-    if sym == "L":
-        return b * x
-    if sym == "C":
-        return params.plateau()[2]
-    return b / (b - 1.0) - b * x
+    return as_params(params)._step(x)[1]
 
 
 def itinerary(params, x: float, n: int) -> Itinerary:
@@ -163,8 +168,8 @@ def itinerary(params, x: float, n: int) -> Itinerary:
         raise PreconditionViolated("need at least one symbol")
     syms = []
     for _ in range(n):
-        syms.append(_classify(params, x))
-        x = trapezoid_map(params, x)
+        sym, x = params._step(x)
+        syms.append(sym)
     return Itinerary(syms, ())
 
 
@@ -254,23 +259,7 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
 def extension_map(beta, x: float) -> float:
     """Continuous extension of the gap map: the gap is bridged by the
     straight line from (1/b, 1) down to (1/(b(b-1)), (2-b)/(b-1))."""
-    return _extension(float(as_beta(beta)), x)
-
-
-def _extension(b, x):
-    """extension_map at b in b's own arithmetic: float in, float out;
-    Fraction in, exact Fraction out."""
-    l_hi = 1 / b
-    g_hi = 1 / (b * (b - 1))
-    top = 1 / (b - 1)
-    if x < 0 or x > top:
-        raise OutOfDomainError(f"x={x} outside [0, {top}]")
-    if x < l_hi:
-        return b * x
-    if x <= g_hi:
-        y0, y1 = 1, (2 - b) / (b - 1)
-        return y0 + (x - l_hi) * (y1 - y0) / (g_hi - l_hi)
-    return b * x - 1
+    return _gap_map(float(as_beta(beta)), x)
 
 
 def extension_three_cycle(beta) -> float:
@@ -291,8 +280,8 @@ def extension_three_cycle(beta) -> float:
         raise PreconditionViolated("base must exceed the period-4 threshold")
     s = b * (3 - 2 * b) / (2 - b)
     x = (1 - s * (1 + 1 / b)) / (1 - s * b * b)
-    y = _extension(b, x)
-    if y == x or _extension(b, _extension(b, y)) != x:
+    y = _gap_map(b, x)
+    if y == x or _gap_map(b, _gap_map(b, y)) != x:
         raise PreconditionViolated(
             f"no 3-cycle through L, R and the bridge at base {float(b)!r}")
     return float(x)

@@ -12,6 +12,9 @@ import pytest
 
 from univoque import cli
 from univoque.cli import main
+from univoque.errors import (BoundaryAmbiguityError, MiddleGapError, NotInImageError,
+                             NotParryError, OutOfDomainError, PreconditionViolated,
+                             TooLargeError, UnivoqueError)
 from univoque.trapezoid import Itinerary
 from univoque.words import PeriodicSeq
 from util import affine_lr_cycles
@@ -273,6 +276,19 @@ class TestExitCodes:
     def test_extension_below_threshold_is_one(self, capsys):
         code, _, err = run(capsys, "extension3", "--beta", "float:1.7")
         assert code == 1 and "period-4 threshold" in err
+
+    @pytest.mark.parametrize("error", [
+        UnivoqueError, PreconditionViolated, NotParryError, MiddleGapError,
+        OutOfDomainError, BoundaryAmbiguityError, NotInImageError, TooLargeError,
+        ValueError,
+    ])
+    def test_every_other_package_error_is_one(self, capsys, monkeypatch, error):
+        """Only the two undecided errors exit 2; every other package
+        error exits 1 with its message, the base class itself included."""
+        def fail(*args):
+            raise error("no root here")
+        monkeypatch.setattr(cli.thresholds, "threshold_beta", fail)
+        assert run(capsys, "beta-n", "5") == (1, "", "error: no root here\n")
 
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,11 @@ import pytest
 
 from univoque.errors import (
     BoundaryAmbiguityError,
+    MiddleGapError,
     NotInImageError,
     OutOfDomainError,
     PreconditionViolated,
+    UnivoqueError,
 )
 from univoque.expansions import (
     BetaValue,
@@ -43,12 +45,16 @@ from util import (
     SEED,
     affine_lr_cycles,
     bisection_three_cycle,
+    classify_reference,
     float_extension_map,
     lr_necklace_words,
+    plateau_reference,
     random_purely_periodic,
     random_seq,
+    shift_map_reference,
     small_itineraries,
     symbolwise_unimodal_cmp,
+    trapezoid_map_reference,
 )
 
 
@@ -94,6 +100,99 @@ class TestTrapezoidMap:
         lo, hi, level = p.plateau()
         assert (lo, hi) == (0.4, 1 / (b - 1) - 0.4)
         assert abs(level - b * 0.4) < 1e-12
+
+    def test_repr_and_equality_read_the_fields(self):
+        beta = FloatBeta(1.8)
+        p = TrapezoidParams(beta, clip=("left", 0.4))
+        assert repr(p) == "TrapezoidParams(beta=FloatBeta(1.8), clip=('left', 0.4))"
+        assert p == TrapezoidParams(beta, clip=("left", 0.4))
+        assert p != TrapezoidParams(beta)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the package error it raised."""
+    try:
+        return f(*args)
+    except (UnivoqueError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneStep:
+    """The trapezoid step and the gap map against the code they replaced
+    (tests/util.py): same symbol, same float image, same error type and
+    message, at seeded bases and points on, near and off every edge."""
+
+    @staticmethod
+    def bases():
+        rng = random.Random(SEED + 23)
+        floats = [FloatBeta(rng.uniform(1.01, 1.99)) for _ in range(150)]
+        return floats + [FloatBeta(1.7), FloatBeta(1.8),
+                         BetaValue.parse("poly:[-1,-1,0,1]@(1,2)"),
+                         threshold_beta(5, 1e-12)]
+
+    @staticmethod
+    def params_of(beta, rng):
+        b = float(beta)
+        top, l_hi, r_lo = 1.0 / (b - 1.0), 1.0 / b, 1.0 / (b * (b - 1.0))
+        yield as_params(beta)
+        yield TrapezoidParams(beta, clip=("left", l_hi * rng.uniform(0.05, 0.95)))
+        yield TrapezoidParams(beta, clip=("right", r_lo + (top - r_lo) * rng.uniform(0.05, 0.95)))
+        # the point 1e-10 left of this edge is exactly 1e-10 away in floats
+        yield TrapezoidParams(beta, clip=("left", 2e-10))
+
+    @staticmethod
+    def points(edges, top, rng):
+        near = (0.0, 1e-12, 5e-11, 9.999e-11, 1e-10, 1.0001e-10, 1e-9)
+        out = [rng.uniform(0.0, top) for _ in range(8)]
+        for edge in (*edges, 0.0, top):
+            out += [edge + d for d in near] + [edge - d for d in near]
+            out += [math.nextafter(edge, -1.0), math.nextafter(edge, 2.0 * top)]
+        return out + [2.0 * top, -1.0]
+
+    def test_symbol_and_image_as_before(self):
+        rng = random.Random(SEED + 24)
+        seen = set()
+        for beta in self.bases():
+            for params in self.params_of(beta, rng):
+                lo_c, hi_c, level = plateau_reference(params)
+                top = 1.0 / (float(beta) - 1.0)
+                assert (params.plateau(), params.domain_top()) == ((lo_c, hi_c, level), top)
+                for x in self.points((lo_c, hi_c), top, rng):
+                    want = _outcome(classify_reference, params, x)
+                    got = _outcome(lambda: itinerary(params, x, 1).preperiod[0])
+                    assert got == want, (params, x)
+                    want = _outcome(trapezoid_map_reference, params, x)
+                    assert _outcome(trapezoid_map, params, x) == want, (params, x)
+                    seen.add(want[0] if isinstance(want, tuple) else "image")
+        assert seen == {"image", OutOfDomainError, BoundaryAmbiguityError}
+
+    def test_orbits_as_before(self):
+        rng = random.Random(SEED + 25)
+        for beta in self.bases():
+            for params in self.params_of(beta, rng):
+                x0 = x = rng.uniform(0.0, params.domain_top())
+                want = ""
+                try:
+                    for _ in range(40):
+                        want += classify_reference(params, x)
+                        x = trapezoid_map_reference(params, x)
+                except UnivoqueError as exc:
+                    want = type(exc), str(exc)
+                got = _outcome(lambda: "".join(itinerary(params, x0, 40).preperiod))
+                assert got == want, (params, x0)
+
+    def test_gap_map_as_before(self):
+        rng = random.Random(SEED + 26)
+        seen = set()
+        for beta in self.bases():
+            b = float(beta)
+            l_hi, g_hi, top = 1.0 / b, 1.0 / (b * (b - 1.0)), 1.0 / (b - 1.0)
+            gap = [l_hi + (g_hi - l_hi) * rng.random() for _ in range(4)]
+            for x in self.points((l_hi, g_hi), top, rng) + gap:
+                want = _outcome(shift_map_reference, beta, x)
+                assert _outcome(shift_map, beta, x) == want, (beta, x)
+                seen.add(want[0] if isinstance(want, tuple) else "image")
+        assert seen == {"image", OutOfDomainError, MiddleGapError}
 
 
 class TestItineraries:

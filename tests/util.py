@@ -9,7 +9,8 @@ from functools import lru_cache
 from itertools import product
 
 from univoque.algebraic import IntPolynomial
-from univoque.errors import UndecidableDigitError, UndecidedError
+from univoque.errors import (BoundaryAmbiguityError, MiddleGapError, OutOfDomainError,
+                             UndecidableDigitError, UndecidedError)
 from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
                              is_extremal, primitive_necklaces, thue_morse)
 from univoque.expansions import (DEFAULT_DIGIT_BUDGET, as_beta, d_of_beta, expansion_value,
@@ -139,6 +140,63 @@ def float_extension_map(b: float, x: float) -> float:
     if x <= g_hi:
         y0, y1 = 1.0, (2.0 - b) / (b - 1.0)
         return y0 + (x - l_hi) * (y1 - y0) / (g_hi - l_hi)
+    return b * x - 1.0
+
+
+def plateau_reference(params) -> tuple[float, float, float]:
+    """Reference for TrapezoidParams.plateau: the geometry worked out
+    again from float(params.beta) at each call, as it was."""
+    b = float(params.beta)
+    top = 1.0 / (b - 1.0)
+    if params.clip is None:
+        return 1.0 / b, 1.0 / (b * (b - 1.0)), 1.0
+    side, x1 = params.clip
+    if side == "left":
+        return x1, top - x1, b * x1
+    return top - x1, x1, b / (b - 1.0) - b * x1
+
+
+def classify_reference(params, x: float) -> str:
+    """Reference for the branch symbol of the trapezoid step: the
+    classifier it replaced, which every caller ran on its own."""
+    top = 1.0 / (float(params.beta) - 1.0)
+    lo_c, hi_c, _ = plateau_reference(params)
+    if x < -BOUNDARY_TOL or x > top + BOUNDARY_TOL:
+        raise OutOfDomainError(f"x={x} outside [0, {top}]")
+    for edge in (lo_c, hi_c):
+        if 0.0 < abs(x - edge) < BOUNDARY_TOL:
+            raise BoundaryAmbiguityError(
+                f"x={x} within {BOUNDARY_TOL} of branch boundary {edge}")
+    if x < lo_c:
+        return "L"
+    if x <= hi_c:
+        return "C"
+    return "R"
+
+
+def trapezoid_map_reference(params, x: float) -> float:
+    """Reference for trapezoid_map: classify, then apply the branch."""
+    b = float(params.beta)
+    sym = classify_reference(params, x)
+    if sym == "L":
+        return b * x
+    if sym == "C":
+        return plateau_reference(params)[2]
+    return b / (b - 1.0) - b * x
+
+
+def shift_map_reference(beta, x: float) -> float:
+    """Reference for shift_map: the float gap map it was before it shared
+    one definition with the continuous extension."""
+    b = float(as_beta(beta))
+    dom_hi = 1.0 / (b - 1.0)
+    if x < 0.0 or x > dom_hi:
+        raise OutOfDomainError(f"x={x} outside [0, {dom_hi}]")
+    if x < 1.0 / b:
+        return b * x
+    if x <= 1.0 / (b * (b - 1.0)):
+        raise MiddleGapError(
+            f"x={x} lies in the middle gap [{1.0/b}, {1.0/(b*(b-1.0))}]")
     return b * x - 1.0
 
 

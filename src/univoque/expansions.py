@@ -284,7 +284,7 @@ class GreedyExpansion:
         if n < 0:
             raise ValueError("digit count must be nonnegative")
         self._extend_to(n)
-        return BinaryWord(self._digits[:n])
+        return BinaryWord._trusted(tuple(self._digits[:n]))
 
     def _certify(self, n: int) -> None:
         """Extend to n digits, or up to the first undecidable one.  Once
@@ -327,10 +327,11 @@ class GreedyExpansion:
         if self._bound is None and isinstance(self.beta, AlgebraicBeta):
             kind, at = self.finiteness
             if kind == "finite":
-                self._bound = PeriodicSeq((), self._digits[:at - 1] + [0])
+                self._bound = PeriodicSeq._trusted((), tuple(self._digits[:at - 1]) + (0,))
             elif kind == "infinite":
                 p, q = at
-                self._bound = PeriodicSeq(self._digits[:p], self._digits[p:p + q])
+                self._bound = PeriodicSeq._trusted(tuple(self._digits[:p]),
+                                                   tuple(self._digits[p:p + q]))
         return self._bound
 
 
@@ -352,7 +353,7 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
     digits: list[int] = []
     orbit.extend(digits, n)
-    return BinaryWord(digits)
+    return BinaryWord._trusted(tuple(digits))
 
 
 def d_of_beta(beta) -> GreedyExpansion:
@@ -383,7 +384,7 @@ def quasi_greedy(beta) -> PeriodicSeq:
 def expansion_value(beta, s: PeriodicSeq) -> float:
     """Value of the digit sequence: sum of s_k * b^-k (closed form)."""
     b = float(as_beta(beta))
-    pre, per = s.preperiod.bits, s.period.bits
+    pre, per = s._pre, s._per
     head = 0.0
     for i, bit in enumerate(pre):
         if bit:
@@ -405,7 +406,7 @@ def _base_poly(s: PeriodicSeq) -> IntPolynomial:
     degree p + q.  The all-zero period keeps the shorter x^p - sum
     a_i x^(p-i): the general form would gain a root at 1 there.
     """
-    pre, per = s.preperiod.bits, s.period.bits
+    pre, per = s._pre, s._per
     p, q = len(pre), len(per)
     if per == (0,):
         coeffs = [0] * (p + 1)
@@ -431,7 +432,7 @@ def solve_base(s: PeriodicSeq) -> AlgebraicBeta:
     integer polynomial (see _base_poly), and the base is returned as its
     certified root in (1, 2).
     """
-    pre, per = s.preperiod.bits, s.period.bits
+    pre, per = s._pre, s._per
     zeros = pre.count(0) + (math.inf if 0 in per else 0)
     ones = pre.count(1) + (math.inf if 1 in per else 0)
     if zeros < 1 or ones < 2:
@@ -447,7 +448,7 @@ def is_parry_admissible(s: PeriodicSeq) -> bool:
     of 1.  Shifts repeat after n = preperiod + period steps, and windows
     of length n of one prefix decide each comparison (see is_extremal).
     """
-    n = len(s.preperiod) + len(s.period)
+    n = len(s._pre) + len(s._per)
     head = s._head(2 * n)
     return all(head[j:j + n] < head[:n] for j in range(1, n + 1))
 

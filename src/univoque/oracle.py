@@ -55,7 +55,7 @@ def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
         raise PreconditionViolated("defined for purely periodic sequences")
     per, q = s.period, len(s.period)
     best = max(w.bits[j:j + q] for w in (per * 2, per.mirror() * 2) for j in range(q))
-    return PeriodicSeq((), best)
+    return PeriodicSeq._trusted((), best)
 
 
 def exists_period_n_unique(beta, n: int,
@@ -235,7 +235,7 @@ def verify_ordering(n_max: int) -> dict:
 def _random_periodic(rng: random.Random, max_period: int) -> PeriodicSeq:
     q = rng.randint(1, max_period)
     bits = tuple(rng.randint(0, 1) for _ in range(q))
-    return PeriodicSeq((), bits)
+    return PeriodicSeq._trusted((), bits)
 
 
 def lemma_report(seed: int = 0, cases: int = 200) -> dict:
@@ -292,12 +292,12 @@ def lemma_report(seed: int = 0, cases: int = 200) -> dict:
     ran = 0
     for _ in range(cases):
         bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
-        w = PeriodicSeq(bits + (1,), (0,))
-        if not is_parry_admissible(w) or w.preperiod.bits.count(1) < 2:
+        w = PeriodicSeq._trusted(bits + (1,), (0,))
+        if not is_parry_admissible(w) or w._pre.count(1) < 2:
             continue
         bits2 = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
-        w2 = PeriodicSeq(bits2 + (1,), (0,))
-        if not is_parry_admissible(w2) or w2.preperiod.bits.count(1) < 2:
+        w2 = PeriodicSeq._trusted(bits2 + (1,), (0,))
+        if not is_parry_admissible(w2) or w2._pre.count(1) < 2:
             continue
         if w == w2:
             continue

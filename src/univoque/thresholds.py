@@ -83,11 +83,11 @@ def min_extremal_recursive(k: int) -> PeriodicSeq:
     """
     key = decompose(k)
     if k == 1:
-        return PeriodicSeq((), (1,))
+        return PeriodicSeq._trusted((), (1,))
     if key.m == 0:
-        s = PeriodicSeq((), (0,))
+        s = PeriodicSeq._trusted((), (0,))
     else:
-        s = PeriodicSeq((), (1,) + (1, 0) * key.m)
+        s = PeriodicSeq._trusted((), (1,) + (1, 0) * key.m)
     for _ in range(key.n):
         s = doubling_map(s)
     return s
@@ -104,7 +104,7 @@ def min_extremal_explicit(k: int) -> PeriodicSeq:
     """
     key = decompose(k)
     if k == 1:
-        return PeriodicSeq((), (1,))
+        return PeriodicSeq._trusted((), (1,))
     tm = thue_morse(3 * (1 << key.n) + 1).bits  # tm[i] is the i-th symbol
     if key.m == 0:
         size = 1 << key.n
@@ -114,7 +114,7 @@ def min_extremal_explicit(k: int) -> PeriodicSeq:
         rep_size = 1 << (key.n + 1)
         rep = tm[1:rep_size] + (1 - tm[rep_size],)
         block = head + rep * (key.m - 1)
-    return PeriodicSeq((), block)
+    return PeriodicSeq._trusted((), block)
 
 
 def threshold_poly(k: int) -> IntPolynomial:
@@ -228,6 +228,6 @@ def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:
     periodic expansions of period n."""
     if n < 2:
         raise PreconditionViolated("defined for n >= 2")
-    beta = solve_base(PeriodicSeq((1,) + (0,) * (n - 2) + (1,), (0,)))
+    beta = solve_base(PeriodicSeq._trusted((1,) + (0,) * (n - 2) + (1,), (0,)))
     beta.refine(Fraction(eps))
     return beta

@@ -47,12 +47,14 @@ from .errors import (
 )
 from .expansions import BetaValue, _BoundPrefix, _gap_map, as_beta
 from .thresholds import threshold_beta
-from .words import EQUAL, GREATER, LESS, PeriodicSeq, _EventuallyPeriodic, primitive_necklaces
+from .words import EQUAL, GREATER, LESS, PeriodicSeq, _EventuallyPeriodic, _necklace_words
 
 BOUNDARY_TOL = 1e-10
 
 _SYMBOLS = ("L", "C", "R")
 _RANK = {"L": 0, "C": 1, "R": 2}
+_LR = ("L", "R")  # the symbol of bit b: of a run start in the encoding, of R in a cycle
+_R_BIT = {"L": 0, "R": 1}
 
 
 class Itinerary(_EventuallyPeriodic):
@@ -66,6 +68,7 @@ class Itinerary(_EventuallyPeriodic):
 
     __slots__ = ()
     _PATTERN = re.compile(r"([LCR]*)(?:\(([LCR]+)\)\^w)?")
+    _SYMBOLS_OF = staticmethod(tuple)
     _NOUN = "itinerary"
 
     def __init__(self, preperiod=(), period=()):
@@ -170,7 +173,7 @@ def itinerary(params, x: float, n: int) -> Itinerary:
     for _ in range(n):
         sym, x = params._step(x)
         syms.append(sym)
-    return Itinerary(syms, ())
+    return Itinerary._trusted(tuple(syms), ())
 
 
 def encode_itinerary(s: PeriodicSeq) -> Itinerary:
@@ -181,10 +184,10 @@ def encode_itinerary(s: PeriodicSeq) -> Itinerary:
     p and period q the image repeats with period q from position p + 1,
     and canonicalization may halve that.
     """
-    p, q = len(s.preperiod), len(s.period)
-    bits = (0,) + s.prefix(p + q + 1).bits
-    syms = ["R" if a != b else "L" for a, b in zip(bits, bits[1:])]
-    return Itinerary(syms[:p + 1], syms[p + 1:])
+    p = len(s._pre)
+    bits = s._head(p + len(s._per) + 1)
+    syms = tuple([_LR[a ^ b] for a, b in zip((0,) + bits, bits)])
+    return Itinerary._trusted(syms[:p + 1], syms[p + 1:])
 
 
 def decode_itinerary(it: Itinerary) -> PeriodicSeq:
@@ -193,13 +196,14 @@ def decode_itinerary(it: Itinerary) -> PeriodicSeq:
     preperiod p and period q the result repeats with period 2q from
     position p (period q when the period holds an even number of Rs).
     """
-    if not it.is_periodic:
+    pre, per = it._pre, it._per
+    if not per:
         raise NotInImageError("finite itineraries do not determine a sequence")
-    if "C" in it.preperiod or "C" in it.period:
+    if "C" in pre or "C" in per:
         raise NotInImageError("plateau symbol C is outside the encoding's image")
-    bits = _r_parity(int(sym == "R") for sym in it.preperiod + it.period * 2)
-    p = len(it.preperiod)
-    return PeriodicSeq(bits[:p], bits[p:])
+    bits = _r_parity(map(_R_BIT.__getitem__, pre + per * 2))
+    p = len(pre)
+    return PeriodicSeq._trusted(bits[:p], bits[p:])
 
 
 def _r_parity(rs) -> tuple[int, ...]:
@@ -248,12 +252,11 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
     # those below n, which the two-sided criterion treats alike
     bound = _BoundPrefix(params.beta, 2 * n, None)
     found = []
-    for neck in primitive_necklaces(n):
-        bits = neck.representative.bits
+    for bits in _necklace_words(n):
         # the decoded word repeats after 2n symbols
         if bits == (0,) or bound.admits(_r_parity(bits * 2), n):
-            found.append(Itinerary((), ["R" if bit else "L" for bit in bits]))
-    return found
+            found.append(Itinerary._trusted((), tuple([_LR[bit] for bit in bits])))
+    return found[::-1]
 
 
 def extension_map(beta, x: float) -> float:

@@ -17,6 +17,11 @@ periodic sequence is simply ``len(s.period)``.  That form, with parsing,
 symbol access, prefixes and the text form, lives in one private base
 class shared with the {L, C, R} itineraries of ``trapezoid``; words of
 different types are never equal.
+
+Symbols are checked once, where caller data enters: in the public
+constructors of ``BinaryWord``, ``PeriodicSeq`` and ``Itinerary``, and by
+the pattern of ``parse``.  Words built from symbols the package already
+holds take the ``_trusted`` constructors, which still canonicalise.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ LESS, EQUAL, GREATER = -1, 0, 1
 NECKLACE_LIMIT = 24
 
 _BitsLike = Union["BinaryWord", str, Iterable[int]]
+_BITS_OF_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _coerce_bits(bits: _BitsLike) -> tuple[int, ...]:
@@ -52,13 +58,13 @@ class BinaryWord:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: _BitsLike = ()):
-        object.__setattr__(self, "_bits", _coerce_bits(bits))
+        self._bits = _coerce_bits(bits)
 
     @classmethod
     def _trusted(cls, bits: tuple[int, ...]) -> "BinaryWord":
         """A word on a tuple of ints already known to be 0s and 1s."""
         word = object.__new__(cls)
-        object.__setattr__(word, "_bits", bits)
+        word._bits = bits
         return word
 
     @property
@@ -66,7 +72,7 @@ class BinaryWord:
         return self._bits
 
     def mirror(self) -> "BinaryWord":
-        return BinaryWord(tuple(1 - b for b in self._bits))
+        return BinaryWord._trusted(tuple([1 - b for b in self._bits]))
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -76,14 +82,14 @@ class BinaryWord:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return BinaryWord(self._bits[i])
+            return BinaryWord._trusted(self._bits[i])
         return self._bits[i]
 
     def __add__(self, other: _BitsLike) -> "BinaryWord":
-        return BinaryWord(self._bits + _coerce_bits(other))
+        return BinaryWord._trusted(self._bits + _coerce_bits(other))
 
     def __mul__(self, n: int) -> "BinaryWord":
-        return BinaryWord(self._bits * n)
+        return BinaryWord._trusted(self._bits * n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (BinaryWord, str)):
@@ -100,56 +106,63 @@ class BinaryWord:
         return f"BinaryWord({str(self)!r})"
 
 
-def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortest u with word = u^m, via the classic border (failure) array."""
+def _primitive_root(word: tuple) -> tuple:
+    """Shortest u with word = u^m: the prefix of the least length p
+    dividing n = |word| for which word has period p."""
     n = len(word)
-    if n <= 1:
-        return word
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = fail[k - 1]
-        if word[i] == word[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[-1]
-    return word[:p] if n % p == 0 else word
+    for p in range(1, n // 2 + 1):
+        if not n % p and word[p:] == word[:-p]:
+            return word[:p]
+    return word
 
 
-def _canonical(pre: tuple[int, ...], per: tuple[int, ...]):
-    """Minimal preperiod, primitive period.  This form is unique."""
+def _canonical(pre: tuple, per: tuple) -> tuple[tuple, tuple]:
+    """Minimal preperiod, primitive period.  This form is unique: the
+    k trailing symbols of pre that match the period read backwards move
+    into it, which rotates the period right by k."""
     per = _primitive_root(per)
-    pre = list(pre)
-    per = list(per)
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per.insert(0, per.pop())
-    return tuple(pre), tuple(per)
+    q, k, i = len(per), 0, len(pre) - 1
+    while k <= i and pre[i - k] == per[-1 - k % q]:
+        k += 1
+    if not k:
+        return pre, per
+    r = k % q
+    return pre[:i + 1 - k], per[q - r:] + per[:q - r]
 
 
 class _EventuallyPeriodic:
     """Shared core of the eventually periodic word types: the canonical
     (preperiod, period) pair of symbol tuples.  An empty period marks a
     finite word.  Subclasses check their symbols before calling this
-    constructor and name their text pattern and noun."""
+    constructor and name their text pattern, the converter from its
+    matched text to a symbol tuple, and their noun."""
 
     __slots__ = ("_pre", "_per")
     _PATTERN: re.Pattern
+    _SYMBOLS_OF: staticmethod
     _NOUN: str
 
     def __init__(self, pre: tuple, per: tuple):
         if per:
             pre, per = _canonical(pre, per)
-        object.__setattr__(self, "_pre", pre)
-        object.__setattr__(self, "_per", per)
+        self._pre = pre
+        self._per = per
+
+    @classmethod
+    def _trusted(cls, pre: tuple, per: tuple):
+        """A word on symbol tuples already known to be valid, put in
+        canonical form."""
+        word = object.__new__(cls)
+        _EventuallyPeriodic.__init__(word, pre, per)
+        return word
 
     @classmethod
     def parse(cls, text: str):
         m = cls._PATTERN.fullmatch(text.strip())
         if not m:
             raise ValueError(f"cannot parse {cls._NOUN}: {text!r}")
-        return cls(m.group(1), m.group(2) or ())
+        pre, per = m.groups("")
+        return cls._trusted(cls._SYMBOLS_OF(pre), cls._SYMBOLS_OF(per))
 
     @property
     def is_purely_periodic(self) -> bool:
@@ -200,6 +213,8 @@ class PeriodicSeq(_EventuallyPeriodic):
 
     __slots__ = ()
     _PATTERN = re.compile(r"([01]*)\(([01]+)\)\^w")
+    # the digits' bytes translated to 0 and 1, which read back as ints
+    _SYMBOLS_OF = staticmethod(lambda text: tuple(text.encode().translate(_BITS_OF_DIGITS)))
     _NOUN = "periodic sequence"
 
     def __init__(self, preperiod: _BitsLike = (), period: _BitsLike = (1,)):
@@ -211,14 +226,14 @@ class PeriodicSeq(_EventuallyPeriodic):
 
     @property
     def preperiod(self) -> BinaryWord:
-        return BinaryWord(self._pre)
+        return BinaryWord._trusted(self._pre)
 
     @property
     def period(self) -> BinaryWord:
-        return BinaryWord(self._per)
+        return BinaryWord._trusted(self._per)
 
     def prefix(self, n: int) -> BinaryWord:
-        return BinaryWord(self._head(n))
+        return BinaryWord._trusted(self._head(n))
 
 
 def lex_cmp(a, b) -> int:
@@ -248,15 +263,15 @@ def shift(s: PeriodicSeq, j: int) -> PeriodicSeq:
         raise ValueError("shift distance must be nonnegative")
     p, q = len(s._pre), len(s._per)
     if j <= p:
-        return PeriodicSeq(s._pre[j:], s._per)
+        return PeriodicSeq._trusted(s._pre[j:], s._per)
     d = (j - p) % q
-    return PeriodicSeq((), s._per[d:] + s._per[:d])
+    return PeriodicSeq._trusted((), s._per[d:] + s._per[:d])
 
 
 def mirror(s):
     """Complement every symbol."""
     if isinstance(s, PeriodicSeq):
-        return PeriodicSeq(tuple(1 - b for b in s._pre), tuple(1 - b for b in s._per))
+        return PeriodicSeq._trusted(tuple(1 - b for b in s._pre), tuple(1 - b for b in s._per))
     return BinaryWord(s).mirror()
 
 
@@ -268,7 +283,7 @@ def thue_morse(n: int) -> BinaryWord:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return BinaryWord(tuple(bin(k).count("1") & 1 for k in range(n)))
+    return BinaryWord._trusted(tuple([bin(k).count("1") & 1 for k in range(n)]))
 
 
 def tm_morphism(w: _BitsLike) -> BinaryWord:
@@ -277,7 +292,7 @@ def tm_morphism(w: _BitsLike) -> BinaryWord:
     for b in _coerce_bits(w):
         out.append(b)
         out.append(1 - b)
-    return BinaryWord(out)
+    return BinaryWord._trusted(tuple(out))
 
 
 def doubling_prefix(bits: _BitsLike, n: int) -> BinaryWord:
@@ -296,7 +311,7 @@ def doubling_prefix(bits: _BitsLike, n: int) -> BinaryWord:
         out.append(1 - b)
         if len(out) >= n:
             break
-    return BinaryWord(tuple(out[:n]))
+    return BinaryWord._trusted(tuple(out[:n]))
 
 
 def doubling_map(s: PeriodicSeq) -> PeriodicSeq:
@@ -309,12 +324,11 @@ def doubling_map(s: PeriodicSeq) -> PeriodicSeq:
     """
     p, q = len(s._pre), len(s._per)
     out = [1]
-    for i in range(p + 2 * q):
-        b = s.at(i)
+    for b in s._head(p + 2 * q):
         out.append(b)
         out.append(1 - b)
     cut = 2 * p + 1
-    return PeriodicSeq(out[:cut], out[cut:cut + 2 * q])
+    return PeriodicSeq._trusted(tuple(out[:cut]), tuple(out[cut:cut + 2 * q]))
 
 
 def is_extremal(s: PeriodicSeq) -> bool:
@@ -340,7 +354,7 @@ def split_halfmirror(u: _BitsLike) -> Optional[BinaryWord]:
         return None
     half = bits[:n // 2]
     if bits[n // 2:] == tuple(1 - b for b in half):
-        return BinaryWord(half)
+        return BinaryWord._trusted(half)
     return None
 
 
@@ -355,28 +369,30 @@ class Necklace:
 
 def primitive_necklaces(n: int) -> list[Necklace]:
     """The largest rotation of each primitive period-n word class, in
-    ascending order.
+    ascending order."""
+    return [Necklace(BinaryWord._trusted(w), n) for w in _necklace_words(n)][::-1]
+
+
+def _necklace_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The words of primitive_necklaces(n) as tuples, largest first.
 
     Duval's algorithm over the reversed alphabet (1 before 0) yields
-    exactly these words, largest first: decrement the last symbol, extend
-    periodically to length n, and drop trailing 0s.
+    exactly these words: decrement the last symbol, extend periodically
+    to length n, and drop trailing 0s.  The limits are checked at the
+    first step.
     """
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > NECKLACE_LIMIT:
         raise TooLargeError(
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
-    word = BinaryWord._trusted
-    out = []
     w = [2]
     while w:
         w[-1] -= 1
         m = len(w)
         if m == n:
-            out.append(Necklace(word(tuple(w)), n))
+            yield tuple(w)
         while len(w) < n:
             w.append(w[len(w) - m])
         while w and w[-1] == 0:
             w.pop()
-    out.reverse()
-    return out

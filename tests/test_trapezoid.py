@@ -51,6 +51,8 @@ from util import (
     plateau_reference,
     random_purely_periodic,
     random_seq,
+    reference_decode,
+    reference_encode,
     shift_map_reference,
     small_itineraries,
     symbolwise_unimodal_cmp,
@@ -70,6 +72,8 @@ class TestItineraryType:
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
             Itinerary.parse("(RX)^w")
+        with pytest.raises(ValueError):
+            Itinerary((), ("X",))
 
 
 class TestTrapezoidMap:
@@ -258,6 +262,39 @@ class TestEncoding:
                     for per in itertools.product("LR", repeat=q):
                         it = Itinerary(pre, per)
                         assert encode_itinerary(decode_itinerary(it)) == it, it
+
+    def test_matches_references_on_every_short_pair(self):
+        """encode_itinerary and decode_itinerary agree with the symbolwise
+        references on every pair with preperiod at most 4 and period at
+        most 8, over {0, 1} and over {L, R}."""
+        for p in range(5):
+            for q in range(1, 9):
+                for pre, per in itertools.product(itertools.product((0, 1), repeat=p),
+                                                  itertools.product((0, 1), repeat=q)):
+                    s = PeriodicSeq(pre, per)
+                    image = encode_itinerary(s)
+                    assert (image._pre, image._per) == reference_encode(s), s
+                    assert decode_itinerary(image) == s
+                    it = Itinerary(["LR"[b] for b in pre], ["LR"[b] for b in per])
+                    back = decode_itinerary(it)
+                    assert (back._pre, back._per) == reference_decode(it), it
+                    assert encode_itinerary(back) == it
+
+    def test_decode_matches_reference_on_seeded_lcr_words(self):
+        rng = random.Random(SEED + 3)
+        decoded = 0
+        for _ in range(3000):
+            it = Itinerary([rng.choice("LCR") for _ in range(rng.randint(0, 6))],
+                           [rng.choice("LRLRC") for _ in range(rng.randint(1, 10))])
+            if "C" in it.preperiod + it.period:
+                with pytest.raises(NotInImageError):
+                    decode_itinerary(it)
+                continue
+            back = decode_itinerary(it)
+            assert (back._pre, back._per) == reference_decode(it), it
+            assert encode_itinerary(back) == it
+            decoded += 1
+        assert decoded > 200
 
     def test_period_transfer(self):
         rng = random.Random(SEED + 2)

@@ -18,16 +18,27 @@ from univoque.words import (
     split_halfmirror,
     thue_morse,
     tm_morphism,
+    _canonical,
+    _primitive_root,
 )
-from univoque.expansions import is_parry_admissible
-from univoque.trapezoid import Itinerary, encode_itinerary, unimodal_cmp
+from univoque.expansions import AlgebraicBeta, d_of_beta, is_parry_admissible, solve_base
+from univoque.thresholds import min_extremal_recursive, threshold_poly
+from univoque.trapezoid import (
+    Itinerary,
+    decode_itinerary,
+    encode_itinerary,
+    find_lr_cycles,
+    unimodal_cmp,
+)
 from util import (
     SEED,
     extremal_members,
+    kmp_primitive_root,
     lcm_bound_cmp,
     primitive_words,
     random_purely_periodic,
     random_seq,
+    symbolwise_canonical,
 )
 
 
@@ -76,6 +87,12 @@ class TestPeriodicSeq:
             with pytest.raises(ValueError):
                 PeriodicSeq.parse(text)
 
+    @pytest.mark.parametrize("pre, per", [((), (2,)), ("0", ""), ([0, 1], "1x")])
+    def test_constructor_rejects_bad_input(self, pre, per):
+        """Caller data is checked at the public constructor."""
+        with pytest.raises(ValueError):
+            PeriodicSeq(pre, per)
+
     def test_at_and_prefix(self):
         s = PeriodicSeq("11", "0")
         assert [s.at(i) for i in range(5)] == [1, 1, 0, 0, 0]
@@ -104,6 +121,108 @@ class TestSharedWordCore:
         with pytest.raises(ValueError, match=r"^cannot parse itinerary: '\(RX\)\^w'$"):
             Itinerary.parse("(RX)^w")
         assert not Itinerary.parse("RL").is_periodic
+
+
+def _words_up_to(alphabet, max_pre: int, max_per: int):
+    """Every (preperiod, period) pair of symbol tuples with the given
+    length bounds and a nonempty period."""
+    for p in range(max_pre + 1):
+        for pre in product(alphabet, repeat=p):
+            for q in range(1, max_per + 1):
+                for per in product(alphabet, repeat=q):
+                    yield pre, per
+
+
+def _random_lcr_words(count: int):
+    rng = random.Random(SEED)
+    for _ in range(count):
+        yield (tuple(rng.choice("LCR") for _ in range(rng.randint(0, 6))),
+               tuple(rng.choice("LCR") for _ in range(rng.randint(1, 12))))
+
+
+class TestCanonicalFormAgainstReferences:
+    """The canonical form agrees with the border-array primitive root and
+    the symbol-at-a-time absorption of the preperiod it replaced."""
+
+    def test_primitive_root_on_every_short_binary_word(self):
+        for n in range(13):
+            for w in product((0, 1), repeat=n):
+                assert _primitive_root(w) == kmp_primitive_root(w)
+
+    def test_primitive_root_on_seeded_lcr_words(self):
+        rng = random.Random(SEED)
+        for _ in range(3000):
+            block = tuple(rng.choice("LCR") for _ in range(rng.randint(1, 5)))
+            w = block * rng.randint(1, 4) + tuple(rng.choice("LCR")
+                                                  for _ in range(rng.randint(0, 1)))
+            assert _primitive_root(w) == kmp_primitive_root(w)
+
+    def test_canonical_on_every_short_binary_pair(self):
+        for pre, per in _words_up_to((0, 1), 4, 8):
+            assert _canonical(pre, per) == symbolwise_canonical(pre, per)
+
+    def test_canonical_on_seeded_lcr_pairs(self):
+        for pre, per in _random_lcr_words(3000):
+            assert _canonical(pre, per) == symbolwise_canonical(pre, per)
+            # a period built as a repeated block with the preperiod's tail in it
+            per2 = per * 2
+            pre2 = pre + per2[len(per2) // 2:]
+            assert _canonical(pre2, per2) == symbolwise_canonical(pre2, per2)
+
+
+def _assert_plain(word) -> None:
+    """An internally built word holds tuples of plain symbols (ints 0 and
+    1, never bools; or "L", "C", "R") and equals, with the same hash, the
+    word the public constructor builds from the same symbols."""
+    pre, per = word._pre, word._per
+    assert type(pre) is tuple and type(per) is tuple
+    if isinstance(word, PeriodicSeq):
+        assert all(type(b) is int and b in (0, 1) for b in pre + per), (pre, per)
+        assert type(word.preperiod.bits) is tuple and type(word.prefix(3).bits) is tuple
+        assert set(str(word)) <= set("01()^w")
+    else:
+        assert all(type(x) is str and x in ("L", "C", "R") for x in pre + per), (pre, per)
+    public = type(word)(list(pre), list(per))
+    assert public == word and hash(public) == hash(word)
+
+
+class TestInternalWordsHoldPlainSymbols:
+    SEQS = ["(1100)^w", "1(01)^w", "0110(011)^w", "(0)^w", "(1)^w", "11(0)^w",
+            "10101(10)^w", "(110100)^w"]
+
+    @pytest.mark.parametrize("text", SEQS)
+    def test_parse_shift_mirror(self, text):
+        s = PeriodicSeq.parse(text)
+        _assert_plain(s)
+        _assert_plain(mirror(s))
+        for j in range(len(s._pre) + 2 * len(s._per)):
+            _assert_plain(shift(s, j))
+        _assert_plain(Itinerary.parse(text.replace("0", "L").replace("1", "R")))
+
+    @pytest.mark.parametrize("text", SEQS)
+    def test_encode_decode(self, text):
+        it = encode_itinerary(PeriodicSeq.parse(text))
+        _assert_plain(it)
+        _assert_plain(decode_itinerary(it))
+        _assert_plain(decode_itinerary(Itinerary.parse("RLR(RRL)^w")))
+
+    def test_lr_cycles(self):
+        for n in range(1, 9):
+            for cycle in find_lr_cycles(1.87, n):
+                _assert_plain(cycle)
+
+    def test_bounds_of_the_expansion_of_one(self):
+        bases = [AlgebraicBeta(threshold_poly(k), 1, 2) for k in range(2, 8)]
+        bases += [solve_base(PeriodicSeq.parse(t)) for t in ("1(10)^w", "111(01)^w")]
+        kinds = set()
+        for beta in bases:
+            kinds.add(d_of_beta(beta).finiteness[0])
+            _assert_plain(d_of_beta(beta).bound)
+        assert kinds == {"finite", "infinite"}
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_least_extremal_sequences(self, k):
+        _assert_plain(min_extremal_recursive(k))
 
 
 class TestLexCmp:

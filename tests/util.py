@@ -6,7 +6,8 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import xor
 
 from univoque.algebraic import IntPolynomial
 from univoque.errors import (BoundaryAmbiguityError, MiddleGapError, OutOfDomainError,
@@ -227,6 +228,55 @@ def bisection_three_cycle(beta) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def kmp_primitive_root(word: tuple) -> tuple:
+    """Reference for words._primitive_root: the shortest u with
+    word = u^m, via the classic border (failure) array."""
+    n = len(word)
+    if n <= 1:
+        return word
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and word[i] != word[k]:
+            k = fail[k - 1]
+        if word[i] == word[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[-1]
+    return word[:p] if n % p == 0 else word
+
+
+def symbolwise_canonical(pre: tuple, per: tuple) -> tuple[tuple, tuple]:
+    """Reference for words._canonical: the primitive root of the period,
+    then one trailing preperiod symbol at a time moved into the period
+    while it matches the period's last symbol."""
+    per = kmp_primitive_root(per)
+    pre = list(pre)
+    per = list(per)
+    while pre and pre[-1] == per[-1]:
+        pre.pop()
+        per.insert(0, per.pop())
+    return tuple(pre), tuple(per)
+
+
+def reference_encode(s: PeriodicSeq) -> tuple[tuple, tuple]:
+    """Reference for encode_itinerary, as the canonical (preperiod,
+    period) pair of the run-start image, read through the public
+    accessors."""
+    p, q = len(s.preperiod), len(s.period)
+    bits = (0,) + s.prefix(p + q + 1).bits
+    syms = ["R" if a != b else "L" for a, b in zip(bits, bits[1:])]
+    return symbolwise_canonical(tuple(syms[:p + 1]), tuple(syms[p + 1:]))
+
+
+def reference_decode(it: Itinerary) -> tuple[tuple, tuple]:
+    """Reference for decode_itinerary on periodic {L, R} itineraries, as
+    the canonical (preperiod, period) pair of the R-parity word."""
+    bits = tuple(accumulate((int(sym == "R") for sym in it.preperiod + it.period * 2), xor))
+    p = len(it.preperiod)
+    return symbolwise_canonical(bits[:p], bits[p:])
 
 
 @lru_cache(maxsize=None)

@@ -89,6 +89,14 @@ class TestTable:
                        "within budget (budget 256)\n")
 
 
+def test_golden_files_match_the_case_list():
+    """One .out and one .err per listed case and nothing else, so no
+    recorded output sits unlisted where no test and no CI step runs it."""
+    files = {path.name for path in GOLDEN.iterdir()}
+    want = {f"{name}.{ext}" for name in GOLDEN_CASES for ext in ("out", "err")}
+    assert files == want | {"cases.json"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_matches_golden(capsys, name):
     """Stdout, stderr and exit code of fixed commands, byte for byte, as

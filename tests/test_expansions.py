@@ -718,9 +718,18 @@ class TestLazyBound:
         assert seen == {True, False, UndecidedError, UndecidableDigitError}
 
     def test_lr_cycles_match_eager_prefix(self):
+        # floats within 1e-13 of beta_3..beta_12 on either side, where
+        # the pruned search cuts subtrees before a word that raises
+        floats = [lambda b=float(threshold_beta(k, 1e-15)) + d: FloatBeta(b)
+                  for k in range(3, 13) for d in (-1e-13, 1e-13)]
+        # floats of bases whose expansion of 1 is finite: the orbit of 1
+        # fails within a few digits, so a word raises on a shift that ties
+        # the short prefix while a later shift already lies outside
+        floats += [lambda b=float(solve_base(PeriodicSeq.parse(f"{u}(0)^w"))): FloatBeta(b)
+                   for u in ("101", "10001", "110001")]
         seen = set()
-        for make in self.bases():
-            for n in range(1, 7):
+        for make in self.bases() + floats:
+            for n in range(1, 13):
                 got = _outcome(find_lr_cycles, make(), n)
                 want = _outcome(eager_lr_cycles, make(), n)
                 assert got == want, (make(), n)

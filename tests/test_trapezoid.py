@@ -10,11 +10,13 @@ from univoque.errors import (
     NotInImageError,
     OutOfDomainError,
     PreconditionViolated,
+    TooLargeError,
     UnivoqueError,
 )
 from univoque.expansions import (
     BetaValue,
     FloatBeta,
+    _BoundPrefix,
     expansion_value,
     is_unique_expansion,
     shift_map,
@@ -37,6 +39,7 @@ from univoque.words import (
     EQUAL,
     GREATER,
     LESS,
+    NECKLACE_LIMIT,
     PeriodicSeq,
     lex_cmp,
     split_halfmirror,
@@ -457,6 +460,25 @@ class TestLRCyclesByCriterion:
         clipped = TrapezoidParams(FloatBeta(1.8), clip=("left", 0.4))
         with pytest.raises(PreconditionViolated):
             find_lr_cycles(clipped, 2)
+
+    def test_cap_refuses_before_reading_a_digit(self):
+        beta = FloatBeta(1.8)
+        with pytest.raises(TooLargeError, match="NECKLACE_LIMIT"):
+            find_lr_cycles(beta, NECKLACE_LIMIT + 1)
+        assert getattr(beta, "_greedy_one", None) is None
+
+    def test_search_cost_follows_the_cycles_found(self, monkeypatch):
+        # a scan tests each of the 698,870 primitive necklaces of length 24
+        calls = []
+        admits = _BoundPrefix.admits
+
+        def counted(self, *args):
+            calls.append(args)
+            return admits(self, *args)
+
+        monkeypatch.setattr(_BoundPrefix, "admits", counted)
+        assert len(find_lr_cycles(FloatBeta(1.8), 24)) == 121
+        assert len(calls) <= 1000
 
 
 class TestConjugacySegment:

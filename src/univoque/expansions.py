@@ -21,6 +21,7 @@ import math
 import re
 import threading
 from fractions import Fraction
+from operator import lshift
 from typing import Optional
 
 from .algebraic import CertifiedRoot, IntPolynomial
@@ -97,6 +98,11 @@ class AlgebraicBeta(BetaValue):
         if lo < 1 or hi > 2:
             raise PreconditionViolated("isolating interval must lie inside [1, 2]")
         self.root = CertifiedRoot(poly, lo, hi)
+        # CertifiedRoot refuses a zero at either end of a wider interval,
+        # so the root is 1 or 2 only as the exact zero of a point interval
+        if lo == hi and lo in (1, 2):
+            raise PreconditionViolated(
+                f"base must lie strictly inside (1, 2), got {float(lo)}")
 
     @property
     def poly(self) -> IntPolynomial:
@@ -258,13 +264,15 @@ class GreedyExpansion:
     budget = DEFAULT_DIGIT_BUDGET
 
     def __init__(self, beta: BetaValue):
-        self.beta = beta
+        # a flag, not the base: the base keeps its expansion (d_of_beta),
+        # and a reference back would make a cycle
+        self._exact = isinstance(beta, AlgebraicBeta)
         self._digits: list[int] = []
         self._lock = threading.RLock()
         self._bound: Optional[PeriodicSeq] = None
         # message of the float digit that failed; the orbit state did not move
         self._failed: Optional[str] = None
-        if isinstance(beta, AlgebraicBeta):
+        if self._exact:
             self._orbit = _AlgebraicOrbit(beta, Fraction(1))
         else:
             self._orbit = _FloatOrbit(beta.value, beta.tolerance, 1.0)
@@ -324,7 +332,7 @@ class GreedyExpansion:
         A float base is never finite or periodic, so its bound is None
         at once, without reading a digit: the bound prefix then reads
         the digits of 1 lazily, as deep as a comparison needs."""
-        if self._bound is None and isinstance(self.beta, AlgebraicBeta):
+        if self._bound is None and self._exact:
             kind, at = self.finiteness
             if kind == "finite":
                 self._bound = PeriodicSeq._trusted((), tuple(self._digits[:at - 1]) + (0,))
@@ -546,6 +554,65 @@ class _BoundPrefix:
                 raise error(*args)
             self._read(min(2 * n, self._budget))
             start = j
+
+
+def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
+    """Yield, largest first, the primitive period-n words, each as its
+    largest rotation, that survive the cut below; the caller runs
+    bound.admits on the tested word, which is the word itself, or with
+    decode its R-parity decoding (symbol t the parity of the 1s in
+    w[0..t]).  The one necklace search of the package, after Ruskey and
+    Sawada's necklaces with forbidden substrings.
+
+    The words grow symbol by symbol (FKM, alphabet reversed: the next
+    symbol copies the one p back, p the length of the longest prefix
+    that is strictly its own largest rotation, or is a 0 below a copied
+    1; the word is primitive when p reaches n).  For every started
+    shift of the tested prefix, bit masks over shift ages (bit k for the
+    shift started k symbols ago, whose next symbol meets position k)
+    keep whether it still ties with the first n symbols of `top` or of
+    its mirror `low`, and whether it lies strictly outside; a position
+    past the symbols read ties with both.  admits reads the first n
+    shifts in order and fails at the first one not strictly inside, so
+    a prefix is cut once that shift lies strictly outside: every word
+    below it fails without raising.  The search runs in one frame, so
+    it holds no closure that refers to itself (see oracle)."""
+    top = bound.top
+    ones = sum(map(lshift, top, range(n)))  # the 1s of top below n
+    ones, zeros = ones | -1 << len(top), ~ones
+    word = [0] * n + [1]  # word[-1] = 1 is the symbol FKM copies at t = 0
+    # before symbol t: p, the tested symbol t - 1 (parity), the ties with
+    # top and with low and the shifts strictly outside
+    states = [(1, 0, 0, 0, 0)] * n
+    t, c = 0, 1
+    while t >= 0:
+        p, r, tops, lows, out = states[t]
+        word[t] = c
+        q = p if c == word[t - p] else t + 1
+        if q == n or t + 1 < n and word[0]:  # else a power of a shorter word
+            e = r ^ c if decode else c  # tested symbol t
+            tops, lows = tops << 1 | 1, lows << 1 | 1  # shift t starts
+            # a 1 leaving top lies above it, a 0 leaving low below it; low
+            # is the mirror of top, so a 1 ties on with top at its 1s and
+            # with low at its 0s, and a 0 the other way round
+            if e:
+                tops_e, lows_e = tops & ones, lows & zeros
+                out = out << 1 | (tops ^ tops_e)
+            else:
+                tops_e, lows_e = tops & zeros, lows & ones
+                out = out << 1 | (lows ^ lows_e)
+            # unless the oldest shift not strictly inside lies outside
+            if out.bit_length() <= (tops_e | lows_e).bit_length():
+                if t + 1 < n:
+                    t += 1
+                    states[t] = q, e, tops_e, lows_e, out
+                    c = word[t - q]
+                    continue
+                yield tuple(word[:n])
+        # the next prefix: the last 1 becomes a 0
+        while t >= 0 and not word[t]:
+            t -= 1
+        c = 0
 
 
 def shift_map(beta, x: float) -> float:

@@ -8,6 +8,15 @@ base, and the ordering of thresholds is verified pairwise on certified
 intervals, with no base perturbed and no fallback to a construction.
 Agreement between this module and the direct constructions is the
 package's main correctness evidence.
+
+The walk is the one necklace search of the package
+(expansions._pruned_necklaces, which find_lr_cycles runs on decoded
+words), with one cut rule: a prefix goes once the oldest shift not
+strictly inside the bound lies strictly outside it.  Request paths
+build no reference cycles, so reference counting frees what a call
+builds when it returns and leaves the cycle collector nothing to find:
+garbage in cycles would set the collector off, and a replayed sequence
+of operations would pay for it inside the same requests every time.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .errors import (
 from .expansions import (
     FloatBeta,
     _BoundPrefix,
+    _pruned_necklaces,
     as_beta,
     is_parry_admissible,
     solve_base,
@@ -65,21 +75,16 @@ def exists_period_n_unique(beta, n: int,
     necklaces that stops at the first unique one.
 
     The search grows the largest rotation of each primitive period-n
-    word symbol by symbol (FKM, alphabet reversed) and tests each
-    complete word w as is_unique_expansion(beta, (w)^w, digit_budget)
-    would test it, against one bound prefix shared by the whole search.
-    It keeps, for every shift of the prefix so far, whether that shift
-    still ties with the first n symbols of the bound prefix `top` or of
-    its mirror `low` (a position past the symbols read is a tie), and cuts
-    the prefix when every word below it fails the test without raising:
-    when some shift already lies above `top` (shift 0 of a largest
-    rotation is the largest shift, so it lies above `top` too), or when
-    shift 0 lies below `top` and the first shift not yet above `low`
-    lies below it (no earlier shift can then tie).  Every word the
-    search reaches runs the full test, and every word it cuts would
-    have returned False, so verdicts and undecided errors are those of
-    a scan over all necklaces.  A word left undecided does not stop the
-    search; the last such error is raised only when no word passes.
+    word and cuts a prefix once its oldest shift not strictly inside the
+    bound lies strictly outside; a shift above `top` needs no rule of
+    its own, as shift 0 of a largest rotation then lies above it too.
+    Every word left runs the test of is_unique_expansion(beta, (w)^w,
+    digit_budget) against one bound prefix shared by the search, and
+    every word cut would have returned False without raising, so
+    verdicts and undecided errors are those of a scan over all
+    necklaces.  A word left undecided does not stop the search; only
+    when no word passes is the error raised, made from the bound's
+    `undecided`, the one error `admits` raises.
     """
     beta = as_beta(beta)
     if n < 1:
@@ -88,59 +93,16 @@ def exists_period_n_unique(beta, n: int,
         raise TooLargeError(
             f"membership search capped at n <= PERIOD_LIMIT = {PERIOD_LIMIT}")
     bound = _BoundPrefix(beta, n, digit_budget)
-    top, low, width = bound.top, bound.low, len(bound.top)
-    word = [0] * n + [1]  # word[-1] = 1 is the symbol FKM copies at t = 0
-    undecided = None
-
-    def grow(t: int, p: int, top_ties: list, low_ties: list, low_below: int) -> bool:
-        """Search below word[:t], whose longest prefix that is strictly
-        its own largest rotation has length p.  The ties are the shifts
-        whose part so far equals a prefix of top or of low, and
-        low_below is the first shift below low (n if none)."""
-        nonlocal undecided
-        if t == n:
-            if p < n:  # a power of a shorter word
-                return False
-            try:
-                return bound.admits(tuple(word[:n]), n)
-            except (UndecidedError, UndecidableDigitError) as exc:
-                undecided = exc
-                return False
-        for c, q in ((1, p), (0, t + 1)) if word[t - p] else ((0, p),):
-            word[t] = c
-            tops = []
-            for j in top_ties:
-                if t - j >= width or c == top[t - j]:
-                    tops.append(j)
-                elif c:
-                    break  # shift j lies above top
-            else:
-                # the new shift t starts here: its first symbol is c
-                if not width or c == top[0]:
-                    tops.append(t)
-                elif c:
-                    continue  # shift t lies above top
-                lows, below = [], low_below
-                for j in low_ties:
-                    if t - j >= width or c == low[t - j]:
-                        lows.append(j)
-                    elif not c:
-                        below = min(below, j)
-                if not width or c == low[0]:
-                    lows.append(t)
-                elif not c:
-                    below = min(below, t)
-                zero_below_top = not tops or tops[0] > 0
-                if zero_below_top and below < (lows[0] if lows else n):
-                    continue
-                if grow(t + 1, q, tops, lows, below):
-                    return True
-        return False
-
-    if grow(0, 1, [], [], n):
-        return True
-    if undecided is not None:
-        raise undecided
+    undecided = False
+    for word in _pruned_necklaces(bound, n, False):
+        try:
+            if bound.admits(word, n):
+                return True
+        except (UndecidedError, UndecidableDigitError):
+            undecided = True
+    if undecided:  # the one error admits raises, kept on the bound
+        error, args = bound.undecided
+        raise error(*args)
     return False
 
 

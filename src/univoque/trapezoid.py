@@ -22,10 +22,13 @@ not certified (ROADMAP item 9).  The LR cycles below do not use it.
 
 Also here: the plateau-avoiding (LR) cycles, found as the decoded
 periodic unique expansions (the link between the two families on which
-the paper's second proof of the threshold order rests) by a depth-first
-necklace search that cuts every prefix whose first decoded shift not
-strictly inside the bound already lies outside it, so its cost follows
-the cycles it finds rather than the number of necklaces; clipped
+the paper's second proof of the threshold order rests) by the
+membership test's necklace search (expansions._pruned_necklaces) run
+on decoded words.  Its one cut rule drops a prefix once the oldest
+decoded shift not strictly inside the bound lies strictly outside it,
+so its cost follows the cycles it finds rather than the number of
+necklaces, and like every request path (see oracle) it builds no
+reference cycle; clipped
 trapezoid variants with a lowered plateau, and the continuous-extension
 demonstration producing a genuine 3-periodic point above the period-4
 threshold, solved as one linear equation and certified by exact
@@ -39,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import lshift, xor
+from operator import xor
 from typing import Optional
 
 from .errors import (
@@ -49,7 +52,7 @@ from .errors import (
     PreconditionViolated,
     TooLargeError,
 )
-from .expansions import BetaValue, _BoundPrefix, _gap_map, as_beta
+from .expansions import BetaValue, _BoundPrefix, _gap_map, _pruned_necklaces, as_beta
 from .thresholds import threshold_beta
 from .words import (
     EQUAL,
@@ -254,25 +257,24 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
     of 1 is not known to be eventually periodic (at any float).
 
     The candidates are the primitive necklaces (R for 1), so n <=
-    NECKLACE_LIMIT, checked before any digit of 1 is read.  They are
-    grown symbol by symbol as their largest rotations (FKM, alphabet
-    reversed, the order of primitive_necklaces largest first), together
-    with the decoded word, whose symbol t is the R-parity of w[0..t].
-    For each started shift of the decoded prefix the search keeps
-    whether it still ties with the first symbols of the bound prefix
-    `top` or of its mirror `low` (a position past the symbols read is a
-    tie); a shift leaves its tie set once it is strictly inside or
-    strictly outside.  The test reads the first n shifts in order and
-    fails at the first one that is not strictly inside, so a prefix is
-    cut when that shift already lies strictly outside: every word below
-    it returns False without raising.  Every complete word the search
-    reaches runs the full test, so the cycles and the first undecided
-    error are those of a scan over all necklaces, at a cost that
-    follows the cycles found.
+    NECKLACE_LIMIT, checked before any digit of 1 is read.  The
+    necklace search of the membership test grows their largest
+    rotations, largest first, and tests the R-parity decoding (symbol t
+    is the parity of the Rs in w[0..t]): it cuts a prefix once the
+    oldest decoded shift not strictly inside the bound lies strictly
+    outside, since the test then fails there without raising.  Every
+    complete word it reaches runs the full test, so the cycles and the
+    first undecided error are those of a scan over all necklaces, at a
+    cost that follows the cycles found.  A clip is checked only on
+    TrapezoidParams; a bare base builds no map and reads no float of
+    the base.
     """
-    params = as_params(params)
-    if params.clip is not None:
-        raise PreconditionViolated("the cycle criterion holds for the unclipped map only")
+    if isinstance(params, TrapezoidParams):
+        if params.clip is not None:
+            raise PreconditionViolated("the cycle criterion holds for the unclipped map only")
+        beta = params.beta
+    else:
+        beta = as_beta(params)  # no map geometry, so no float of the base
     if n < 1:
         raise PreconditionViolated("cycle length must be positive")
     if n > NECKLACE_LIMIT:
@@ -280,46 +282,10 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
     # a decoded word has period n or 2n, and its shifts by n or more mirror
     # those below n, which the two-sided criterion treats alike
-    bound = _BoundPrefix(params.beta, 2 * n, None)
-    # Ties are bit masks over the started shifts, bit k for the shift that
-    # started k symbols ago, whose next symbol meets position k of top and
-    # of low.  A decoded 1 ties on with top at the bits of ones (top[k] is
-    # 1, or k lies past the symbols read) and with low at those of zeros,
-    # a decoded 0 the other way round, as low is the mirror of top.
-    ones = sum(map(lshift, bound.top, range(n)))  # the 1s of top below n
-    ones, zeros = ones | -1 << len(bound.top), ~ones
-    word = [0] * n + [1]  # word[-1] = 1 is the symbol FKM copies at t = 0
-    found = []
-
-    def grow(t: int, p: int, r: int, tops: int, lows: int, out: int) -> None:
-        """Collect the cycles below word[:t], whose longest prefix that
-        is strictly its own largest rotation has length p and whose
-        R-parity is r.  The ties are the decoded shifts that so far equal
-        a prefix of top or of low, and out the shifts strictly outside."""
-        for c, q in ((1, p), (0, t + 1)) if word[t - p] else ((0, p),):
-            word[t] = c
-            if q < n and (t + 1 == n or not word[0]):
-                continue  # a power of a shorter word: after a leading 0, 0^n
-            e = r ^ c  # decoded symbol t
-            tops_c, lows_c = tops << 1 | 1, lows << 1 | 1  # shift t starts
-            # a decoded 1 leaving top lies above it, a 0 leaving low below it
-            if e:
-                tops_e, lows_e = tops_c & ones, lows_c & zeros
-                out_e = out << 1 | (tops_c ^ tops_e)
-            else:
-                tops_e, lows_e = tops_c & zeros, lows_c & ones
-                out_e = out << 1 | (lows_c ^ lows_e)
-            if out_e.bit_length() > (tops_e | lows_e).bit_length():
-                continue  # the first shift not strictly inside lies outside
-            if t + 1 < n:
-                grow(t + 1, q, e, tops_e, lows_e, out_e)
-            else:
-                bits = tuple(word[:n])
-                # the decoded word repeats after 2n symbols
-                if bits == (0,) or bound.admits(_r_parity(bits * 2), n):
-                    found.append(Itinerary._trusted((), tuple(map(_LR.__getitem__, bits))))
-
-    grow(0, 1, 0, 0, 0, 0)
+    bound = _BoundPrefix(beta, 2 * n, None)
+    found = [Itinerary._trusted((), tuple(map(_LR.__getitem__, bits)))
+             for bits in _pruned_necklaces(bound, n, True)
+             if bits == (0,) or bound.admits(_r_parity(bits * 2), n)]
     return found[::-1]
 
 

@@ -298,6 +298,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli.thresholds, "threshold_beta", fail)
         assert run(capsys, "beta-n", "5") == (1, "", "error: no root here\n")
 
+    @pytest.mark.parametrize("argv, end", [
+        (["lr-cycles", "--beta", "poly:[-1,1]@(1,1)", "--n", "3"], 1),
+        (["orbit", "--beta", "poly:[-1,1]@(1,1)", "--x", "0.5", "--map", "T"], 1),
+        (["extension3", "--beta", "poly:[-2,1]@(2,2)"], 2),
+        (["check-unique", "--beta", "poly:[-2,1]@(2,2)", "--seq", "(01)^w"], 2),
+        (["expand", "--beta", "poly:[-1,1]@(1,1)", "--x", "1/2"], 1),
+    ])
+    def test_base_at_an_end_of_the_domain_is_one(self, capsys, argv, end):
+        """A root at 1 or 2 is refused as FloatBeta refuses the float."""
+        assert run(capsys, *argv) == (1, "", f"error: base {argv[2]!r}: base must lie "
+                                             f"strictly inside (1, 2), got {float(end)}\n")
+
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -60,6 +60,20 @@ class TestBetaValue:
         with pytest.raises(PreconditionViolated):
             AlgebraicBeta(IntPolynomial([-1, -1, 1]), 0, 3)
 
+    @pytest.mark.parametrize("coeffs, end", [([-1, 1], 1), ([-2, 1], 2), ([2, -3, 1], 1),
+                                             ([-6, 5, -1], 2)])
+    def test_rejects_a_root_at_either_end(self, coeffs, end):
+        # the same domain and message as FloatBeta; a wider interval that
+        # ends at a root is refused by the isolation already
+        with pytest.raises(PreconditionViolated) as float_exc:
+            FloatBeta(end)
+        with pytest.raises(PreconditionViolated) as exc:
+            AlgebraicBeta(IntPolynomial(coeffs), end, end)
+        assert str(exc.value) == str(float_exc.value)
+        with pytest.raises(ValueError, match="vanishes at an isolation endpoint"):
+            AlgebraicBeta(IntPolynomial(coeffs), 1, 2)
+        assert float(AlgebraicBeta(IntPolynomial([-3, 2]), "3/2", "3/2")) == 1.5
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             BetaValue.parse("sqrt:2")
@@ -244,11 +258,12 @@ class TestExpansionOfOne:
         # a prefix longer than the budget can still end the digits of an
         # exact base, and the bound follows
         monkeypatch.setattr(GreedyExpansion, "budget", 3)
-        exp = d_of_beta(threshold_beta(5))
+        beta = threshold_beta(5)
+        exp = d_of_beta(beta)
         assert exp.finiteness == ("unknown", 3) and exp.bound is None
         exp.prefix(5)
         assert exp.finiteness == ("finite", 5)
-        assert exp.bound == quasi_greedy(exp.beta) == PeriodicSeq.parse("(11010)^w")
+        assert exp.bound == quasi_greedy(beta) == PeriodicSeq.parse("(11010)^w")
 
     def test_verdict_does_not_depend_on_call_order(self):
         # the digits of 1 at the 260th threshold end at digit 260, past the

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import warnings
@@ -13,7 +14,7 @@ from univoque.errors import (
     UndecidableDigitError,
     UndecidedError,
 )
-from univoque.expansions import FloatBeta, is_unique_expansion
+from univoque.expansions import BetaValue, FloatBeta, d_of_beta, is_unique_expansion
 from univoque.oracle import (
     Necklace,
     exists_period_n_unique,
@@ -24,6 +25,7 @@ from univoque.oracle import (
     verify_ordering,
 )
 from univoque.thresholds import sharkovskii_cmp, threshold_beta
+from univoque.trapezoid import find_lr_cycles
 from univoque.words import (GREATER, LESS, BinaryWord, PeriodicSeq, is_extremal, lex_cmp, mirror,
                             shift)
 from util import SEED, primitive_words
@@ -240,6 +242,48 @@ class TestMinBeta:
         # the roundoff band; the oracle says so instead of nudging the base
         with pytest.raises(UndecidedError):
             min_beta_for_period(n, eps)
+
+
+class TestNoCyclicGarbage:
+    """Request paths build no reference cycles, so reference counting
+    frees what a call built when it returns.  A replayed operation
+    sequence would otherwise put the collector on the same requests
+    each time."""
+
+    def test_request_mix_leaves_no_cyclic_garbage(self):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (UndecidedError, UndecidableDigitError):
+                return None
+
+        gc.collect()
+        gc.disable()
+        try:
+            undecided = 0
+            for k in (3, 5, 6):
+                ref = float(threshold_beta(k, 1e-15))
+                for b in (ref - 1e-13, ref + 1e-13, ref + 1e-3):
+                    for n, budget in ((k, None), (6, 1), (6, 2), (6, 3), (8, None)):
+                        undecided += outcome(exists_period_n_unique, FloatBeta(b), n,
+                                             budget) is None
+                    for n in (2, 3, 4, 6):
+                        undecided += outcome(find_lr_cycles, FloatBeta(b), n) is None
+                for n in (2, k, 6):
+                    exists_period_n_unique(threshold_beta(k, 1e-12), n)
+                    find_lr_cycles(threshold_beta(k, 1e-12), n)
+                # beta_4 lies below beta_k
+                assert is_unique_expansion(threshold_beta(k, 1e-12),
+                                           PeriodicSeq.parse("(1100)^w"))
+            assert undecided > 0
+            assert min_beta_for_period(6).value == pytest.approx(1.78854, abs=1e-5)
+            assert is_unique_expansion(FloatBeta(1.8), PeriodicSeq.parse("(0011)^w"))
+            assert d_of_beta(FloatBeta(1.87)).finiteness[0] == "unknown"
+            assert d_of_beta(threshold_beta(5)).finiteness[0] == "finite"
+            assert d_of_beta(BetaValue.parse("poly:[-1,-1,1]@(1,2)")).finiteness[0] == "finite"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExtremalReduction:

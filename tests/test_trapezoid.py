@@ -17,6 +17,7 @@ from univoque.expansions import (
     BetaValue,
     FloatBeta,
     _BoundPrefix,
+    d_of_beta,
     expansion_value,
     is_unique_expansion,
     shift_map,
@@ -460,6 +461,15 @@ class TestLRCyclesByCriterion:
         clipped = TrapezoidParams(FloatBeta(1.8), clip=("left", 0.4))
         with pytest.raises(PreconditionViolated):
             find_lr_cycles(clipped, 2)
+
+    def test_bare_base_is_not_refined(self):
+        # the exact orbit of 1 refines the root as far as its signs need;
+        # the search after it reads no float of the base
+        beta = BetaValue.parse("poly:[-1,-1,0,-1,-1,1]@(1,2)")
+        assert d_of_beta(beta).bound is not None
+        before = str(beta)
+        assert [str(c) for c in find_lr_cycles(beta, 3)] == []
+        assert str(beta) == before
 
     def test_cap_refuses_before_reading_a_digit(self):
         beta = FloatBeta(1.8)

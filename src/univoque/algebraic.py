@@ -602,9 +602,13 @@ class CertifiedRoot:
         return self.sign_at_root(IntPolynomial((-x.numerator, x.denominator)))
 
     def __float__(self) -> float:
+        """The midpoint of the cell that refine(2^-60) reaches from the
+        current interval, found on a copy: this root's interval stays as
+        it was."""
         if self._float is None:
-            self.refine(Fraction(1, 2 ** 60))
-            a, b, den = self._iv
+            copy = CertifiedRoot.__new__(CertifiedRoot)
+            copy._sq, copy._iv, copy._sign_lo = self._sq, self._iv, self._sign_lo
+            a, b, den = copy.refine(Fraction(1, 2 ** 60))._iv
             self._float = float(Fraction(a + b, 2 * den))
         return self._float
 

@@ -42,15 +42,18 @@ from .errors import (
     UnivoqueError,
 )
 from .expansions import (
-    DEFAULT_DIGIT_BUDGET,
     AlgebraicBeta,
     as_beta,
-    d_of_beta,
     greedy_digits,
     is_unique_expansion,
     shift_map,
 )
 from .words import NECKLACE_LIMIT, PeriodicSeq
+
+# the longest table: `table 256 --eps 5e-324` takes about 14 s on a
+# 2-CPU Xeon
+TABLE_LIMIT = 256
+
 
 def _eps(text: str) -> float:
     """argparse type of every --eps: a finite number > 0."""
@@ -91,8 +94,7 @@ def _emit_rows(args, rows: list[dict], out) -> None:
 
 def _emit_root(args, out, beta, index: str, key: str) -> int:
     """Print a certified root to 5 decimals, or as JSON under the period
-    `index` (read from args) and `key`, with its polynomial and interval.
-    The interval is read first: float(beta) refines it."""
+    `index` (read from args) and `key`, with its polynomial and interval."""
     if args.format == "json":
         lo, hi = beta.interval
         out.write(json.dumps({
@@ -108,23 +110,20 @@ def _emit_root(args, out, beta, index: str, key: str) -> int:
 
 
 def cmd_table(args, out) -> int:
+    """One row per period n = 2..N <= TABLE_LIMIT.  a_n is extremal, so
+    (a_n)^w is the quasi-greedy expansion of 1 at beta_n (Parry 1960),
+    and the greedy one, d_beta_n, is a_n with its last 0 raised to 1."""
     if args.n_max < 2:
         raise PreconditionViolated("the table starts at period 2")
-    if args.n_max > DEFAULT_DIGIT_BUDGET:  # row n's expansion of 1 ends at digit n
-        raise UndecidedError(f"expansion of 1 for threshold {DEFAULT_DIGIT_BUDGET + 1} "
-                             "not finite within budget", DEFAULT_DIGIT_BUDGET)
+    if args.n_max > TABLE_LIMIT:
+        raise TooLargeError(f"table capped at n_max <= TABLE_LIMIT = {TABLE_LIMIT}")
     rows = []
     for n in range(2, args.n_max + 1):
         beta = thresholds.threshold_beta(n, args.eps)
-        exp = d_of_beta(beta)
-        kind = exp.finiteness
-        if kind[0] != "finite":
-            raise UndecidedError(f"expansion of 1 for threshold {n} not finite "
-                                 f"within budget", exp.budget)
-        digits = str(exp.prefix(kind[1]))
+        word = thresholds.min_extremal_recursive(n).period
         rows.append({
             "n": n,
-            "d_beta_n": digits,
+            "d_beta_n": str(word)[:-1] + "1",
             "defining_poly": poly_str(beta.poly),
             "minimal_poly_if_divides": poly_str(thresholds.reduced_poly(n)),
             "beta_n": f"{float(beta):.5f}",

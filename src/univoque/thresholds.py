@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import IntPolynomial
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, TooLargeError
 from .expansions import AlgebraicBeta, FloatBeta, _base_poly, solve_base
 from .words import (
     EQUAL,
@@ -32,6 +32,17 @@ from .words import (
     doubling_map,
     thue_morse,
 )
+
+
+# the longest period built: `beta-n 1024 --eps 5e-324` takes about 3 s
+# on a 2-CPU Xeon, and at period 2048 about 13 s
+THRESHOLD_LIMIT = 1024
+
+
+def _check_period(k: int) -> None:
+    """Refuse k > THRESHOLD_LIMIT before any word is built."""
+    if k > THRESHOLD_LIMIT:
+        raise TooLargeError(f"period {k} exceeds THRESHOLD_LIMIT = {THRESHOLD_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,7 @@ def min_extremal_recursive(k: int) -> PeriodicSeq:
     iterates the doubling map on the all-zeros sequence, and for
     k = 2^n (2m + 1) with m >= 1 on the period word 1(10)^m.
     """
+    _check_period(k)
     key = decompose(k)
     if k == 1:
         return PeriodicSeq._trusted((), (1,))
@@ -102,6 +114,7 @@ def min_extremal_explicit(k: int) -> PeriodicSeq:
     followed by m - 1 copies of the first 2^(n+1) symbols with the last
     one complemented.
     """
+    _check_period(k)
     key = decompose(k)
     if k == 1:
         return PeriodicSeq._trusted((), (1,))
@@ -228,6 +241,7 @@ def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:
     periodic expansions of period n."""
     if n < 2:
         raise PreconditionViolated("defined for n >= 2")
+    _check_period(n)
     beta = solve_base(PeriodicSeq._trusted((1,) + (0,) * (n - 2) + (1,), (0,)))
     beta.refine(Fraction(eps))
     return beta

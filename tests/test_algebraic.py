@@ -174,6 +174,14 @@ class TestCertifiedRoot:
         r.refine(Fraction(1, 10 ** 15))
         assert abs(float(r) - 1.6180339887498949) < 1e-14
 
+    def test_float_moves_no_interval(self):
+        # float() reads the cell that refine(2^-60) reaches, found on a copy
+        r = CertifiedRoot(IntPolynomial([-1, -1, 1]), 1, 2)
+        value = float(r)
+        assert r.interval == (1, 2)
+        a, b = r.refine(Fraction(1, 2 ** 60)).interval
+        assert value == float((a + b) / 2)
+
     def test_interval_only_shrinks(self):
         r = CertifiedRoot(IntPolynomial([-1, -1, -1, 1]), 1, 2)
         lo0, hi0 = r.interval

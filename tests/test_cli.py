@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from univoque import cli
+from univoque import cli, expansions
 from univoque.cli import main
 from univoque.errors import (BoundaryAmbiguityError, MiddleGapError, NotInImageError,
                              NotParryError, OutOfDomainError, PreconditionViolated,
@@ -77,16 +77,24 @@ class TestTable:
         assert len(out.splitlines()) == 3
 
     @pytest.mark.parametrize("n_max", ["257", "1000"])
-    def test_rows_past_the_digit_budget_fail_before_any_orbit(self, capsys, monkeypatch, n_max):
-        # row n's expansion of 1 has n digits, so row 257 is undecided
+    def test_rows_past_the_cap_fail_before_any_threshold(self, capsys, monkeypatch, n_max):
         def unreachable(*args):
             raise AssertionError("a threshold was built")
 
         monkeypatch.setattr(cli.thresholds, "threshold_beta", unreachable)
         code, out, err = run(capsys, "table", n_max)
-        assert (code, out) == (2, "")
-        assert err == ("undecided: expansion of 1 for threshold 257 not finite "
-                       "within budget (budget 256)\n")
+        assert (code, out) == (1, "")
+        assert err == "error: table capped at n_max <= TABLE_LIMIT = 256\n"
+
+    def test_reads_no_orbit_of_one(self, capsys, monkeypatch):
+        # d_beta_n is a_n with its last 0 raised, read from the word
+        def unreachable(*args):
+            raise AssertionError("an exact orbit was read")
+
+        monkeypatch.setattr(expansions._AlgebraicOrbit, "extend", unreachable)
+        code, out, _ = run(capsys, "table", "24", "--format", "csv")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "table_24_csv.out").read_bytes()
 
 
 def test_golden_files_match_the_case_list():

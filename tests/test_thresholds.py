@@ -5,9 +5,10 @@ import pytest
 
 from univoque import algebraic
 from univoque.algebraic import IntPolynomial, poly_str
-from univoque.errors import PreconditionViolated
-from univoque.expansions import quasi_greedy, solve_base
+from univoque.errors import PreconditionViolated, TooLargeError
+from univoque.expansions import d_of_beta, quasi_greedy, solve_base
 from univoque.thresholds import (
+    THRESHOLD_LIMIT,
     SharkovskiiKey,
     _kl_sign,
     below_komornik_loreti,
@@ -170,6 +171,15 @@ class TestThresholdValues:
             assert exp.finiteness == ("finite", n)
             assert str(exp.prefix(n)) == digits
 
+    def test_exact_orbit_confirms_the_word_rule_to_64(self):
+        # the table reads d_beta_n from a_n alone: a_n is extremal, so the
+        # greedy expansion of 1 at beta_n is a_n with its last 0 raised
+        for n in range(2, 65):
+            word = min_extremal_recursive(n).period.bits
+            exp = d_of_beta(threshold_beta(n, 1e-8))
+            assert exp.finiteness == ("finite", n), n
+            assert exp.prefix(n).bits == word[:-1] + (1,), n
+
     def test_quasi_greedy_identity(self):
         for k in range(2, 13):
             assert quasi_greedy(threshold_beta(k, 1e-8)) == min_extremal_recursive(k), k
@@ -293,3 +303,13 @@ class TestGreedyThreshold:
     def test_requires_n_at_least_2(self):
         with pytest.raises(PreconditionViolated):
             greedy_threshold(1)
+
+
+class TestPeriodCap:
+    @pytest.mark.parametrize("build", [min_extremal_recursive, min_extremal_explicit,
+                                       greedy_threshold, threshold_beta])
+    @pytest.mark.parametrize("k", [THRESHOLD_LIMIT + 1, 99999999999999])
+    def test_refused_before_any_word_is_built(self, build, k):
+        # the huge period would ask for a word of 10^14 symbols
+        with pytest.raises(TooLargeError, match=f"period {k} exceeds THRESHOLD_LIMIT = 1024"):
+            build(k)

@@ -116,6 +116,16 @@ class TestTrapezoidMap:
         assert p == TrapezoidParams(beta, clip=("left", 0.4))
         assert p != TrapezoidParams(beta)
 
+    def test_an_exact_base_is_not_refined(self):
+        # each call reads float(beta), which refines a copy of the root
+        beta = BetaValue.parse("poly:[-1,-1,0,-1,-1,1]@(1,2)")
+        before = str(beta)
+        float(beta)
+        as_params(beta)
+        trapezoid_map(beta, 0.3)
+        itinerary(beta, 0.3, 5)
+        assert str(beta) == before
+
 
 def _outcome(f, *args):
     """f(*args), or the type and message of the package error it raised."""

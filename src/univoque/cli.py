@@ -53,6 +53,12 @@ from .words import NECKLACE_LIMIT, PeriodicSeq
 # the longest table: `table 256 --eps 5e-324` takes about 14 s on a
 # 2-CPU Xeon
 TABLE_LIMIT = 256
+# count caps; each call at its cap took at most 3 s there (10^4 digits of 1/3 at
+# poly:[-2,0,0,0,1]@(1,2) 1.5 s, `conjecture-2n --n 4` from 1.99 to 1.999 2.6 s)
+DIGITS_LIMIT = 10_000
+STEPS_LIMIT = 100_000
+SCAN_LIMIT = 100
+CASES_LIMIT = 10_000
 
 
 def _eps(text: str) -> float:
@@ -152,6 +158,8 @@ def cmd_a_k(args, out) -> int:
 
 
 def cmd_expand(args, out) -> int:
+    if args.digits > DIGITS_LIMIT:
+        raise TooLargeError(f"expansion capped at digits <= DIGITS_LIMIT = {DIGITS_LIMIT}")
     beta = as_beta(args.beta)
     x = _point(args.x, isinstance(beta, AlgebraicBeta))
     word = greedy_digits(beta, x, args.digits)
@@ -181,6 +189,8 @@ def cmd_verify_order(args, out) -> int:
 def cmd_orbit(args, out) -> int:
     if args.steps < 0:
         raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
+    if args.steps > STEPS_LIMIT:
+        raise TooLargeError(f"orbit capped at steps <= STEPS_LIMIT = {STEPS_LIMIT}")
     beta = as_beta(args.beta)
     x = _point(args.x, False)
     lines = []  # written only once every step succeeded
@@ -257,6 +267,8 @@ def cmd_conjecture_2n(args, out) -> int:
         raise PreconditionViolated(f"n must be >= 1, got {args.n}")
     if args.steps < 0:
         raise PreconditionViolated(f"steps must be >= 0, got {args.steps}")
+    if args.steps > SCAN_LIMIT:
+        raise TooLargeError(f"scan capped at steps <= SCAN_LIMIT = {SCAN_LIMIT}")
     length = 1 << args.n
     if length > NECKLACE_LIMIT:
         raise TooLargeError(f"cycle length 2^{args.n} = {length} exceeds "
@@ -290,6 +302,8 @@ def cmd_conjecture_2n(args, out) -> int:
 
 
 def cmd_verify_lemmas(args, out) -> int:
+    if args.cases > CASES_LIMIT:
+        raise TooLargeError(f"lemma checks capped at cases <= CASES_LIMIT = {CASES_LIMIT}")
     report = oracle.lemma_report(seed=args.seed, cases=args.cases)
     out.write(json.dumps(report, indent=2) + "\n")
     return 0 if report["ok"] else 1

@@ -33,7 +33,7 @@ from .errors import (
     UndecidableDigitError,
     UndecidedError,
 )
-from .words import BinaryWord, PeriodicSeq
+from .words import BinaryWord, PeriodicSeq, _MIRROR
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_DIGIT_BUDGET = 256
@@ -292,7 +292,7 @@ class GreedyExpansion:
         if n < 0:
             raise ValueError("digit count must be nonnegative")
         self._extend_to(n)
-        return BinaryWord._trusted(tuple(self._digits[:n]))
+        return BinaryWord._trusted(bytes(self._digits[:n]))
 
     def _certify(self, n: int) -> None:
         """Extend to n digits, or up to the first undecidable one.  Once
@@ -305,11 +305,11 @@ class GreedyExpansion:
                 except UndecidableDigitError as exc:
                     self._failed = str(exc)
 
-    def _certified_prefix(self, n: int) -> tuple[int, ...]:
+    def _certified_prefix(self, n: int) -> bytes:
         """Up to n digits, ending before the first undecidable one."""
         with self._lock:
             self._certify(n)
-            return tuple(self._digits[:n])
+            return bytes(self._digits[:n])
 
     @property
     def finiteness(self):
@@ -335,11 +335,11 @@ class GreedyExpansion:
         if self._bound is None and self._exact:
             kind, at = self.finiteness
             if kind == "finite":
-                self._bound = PeriodicSeq._trusted((), tuple(self._digits[:at - 1]) + (0,))
+                self._bound = PeriodicSeq._trusted(b"", bytes(self._digits[:at - 1]) + b"\0")
             elif kind == "infinite":
                 p, q = at
-                self._bound = PeriodicSeq._trusted(tuple(self._digits[:p]),
-                                                   tuple(self._digits[p:p + q]))
+                self._bound = PeriodicSeq._trusted(bytes(self._digits[:p]),
+                                                   bytes(self._digits[p:p + q]))
         return self._bound
 
 
@@ -359,9 +359,9 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
         shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
         raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
     orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
-    digits: list[int] = []
+    digits = bytearray()
     orbit.extend(digits, n)
-    return BinaryWord._trusted(tuple(digits))
+    return BinaryWord._trusted(bytes(digits))
 
 
 def d_of_beta(beta) -> GreedyExpansion:
@@ -416,7 +416,7 @@ def _base_poly(s: PeriodicSeq) -> IntPolynomial:
     """
     pre, per = s._pre, s._per
     p, q = len(pre), len(per)
-    if per == (0,):
+    if per == b"\0":
         coeffs = [0] * (p + 1)
         coeffs[p] = 1
         for i, a in enumerate(pre, 1):
@@ -502,7 +502,7 @@ class _BoundPrefix:
         self._exp = self._budget = self._undecided = None
         if bound is not None:
             self.top = bound._head(len(bound._pre) + len(bound._per) + q)
-            self.low = tuple([1 - d for d in self.top])
+            self.low = self.top.translate(_MIRROR)
         else:
             self._exp, self._budget = exp, digit_budget or 4 * q + 64
             self._read(min(q, self._budget))
@@ -513,7 +513,7 @@ class _BoundPrefix:
         digit before n has failed."""
         exp = self._exp
         self.top = top = exp._certified_prefix(n)
-        self.low = tuple([1 - d for d in top])
+        self.low = top.translate(_MIRROR)
         if len(top) < n:  # digit len(top) failed: a tie rests on it
             self._exp, self._undecided = None, (UndecidableDigitError, (exp._failed,))
         elif n == self._budget:
@@ -530,7 +530,7 @@ class _BoundPrefix:
             self._read(self._budget)
         return self._undecided
 
-    def admits(self, period: tuple[int, ...], count: int) -> bool:
+    def admits(self, period: bytes, count: int) -> bool:
         """Whether the first count shifts of the purely periodic word
         (period)^w, read as windows of length len(top) of one prefix,
         lie strictly between mirror(top) and top.  A shift that ties
@@ -580,7 +580,7 @@ def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
     top = bound.top
     ones = sum(map(lshift, top, range(n)))  # the 1s of top below n
     ones, zeros = ones | -1 << len(top), ~ones
-    word = [0] * n + [1]  # word[-1] = 1 is the symbol FKM copies at t = 0
+    word = bytearray(n) + b"\1"  # word[-1] = 1 is the symbol FKM copies at t = 0
     # before symbol t: p, the tested symbol t - 1 (parity), the ties with
     # top and with low and the shifts strictly outside
     states = [(1, 0, 0, 0, 0)] * n
@@ -608,7 +608,7 @@ def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
                     states[t] = q, e, tops_e, lows_e, out
                     c = word[t - q]
                     continue
-                yield tuple(word[:n])
+                yield bytes(word[:n])
         # the next prefix: the last 1 becomes a 0
         while t >= 0 and not word[t]:
             t -= 1

@@ -48,6 +48,7 @@ from .words import (  # noqa: F401  (Necklace, primitive_necklaces re-exported)
     LESS,
     Necklace,
     PeriodicSeq,
+    _MIRROR,
     lex_cmp,
     primitive_necklaces,
     shift,
@@ -63,9 +64,9 @@ def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
     of the period word, or of its mirror, doubled."""
     if not s.is_purely_periodic:
         raise PreconditionViolated("defined for purely periodic sequences")
-    per, q = s.period, len(s.period)
-    best = max(w.bits[j:j + q] for w in (per * 2, per.mirror() * 2) for j in range(q))
-    return PeriodicSeq._trusted((), best)
+    per, q = s._per, len(s._per)
+    best = max(w[j:j + q] for w in (per * 2, per.translate(_MIRROR) * 2) for j in range(q))
+    return PeriodicSeq._trusted(b"", best)
 
 
 def exists_period_n_unique(beta, n: int,
@@ -196,8 +197,8 @@ def verify_ordering(n_max: int) -> dict:
 
 def _random_periodic(rng: random.Random, max_period: int) -> PeriodicSeq:
     q = rng.randint(1, max_period)
-    bits = tuple(rng.randint(0, 1) for _ in range(q))
-    return PeriodicSeq._trusted((), bits)
+    bits = bytes(rng.randint(0, 1) for _ in range(q))
+    return PeriodicSeq._trusted(b"", bits)
 
 
 def lemma_report(seed: int = 0, cases: int = 200) -> dict:
@@ -253,12 +254,12 @@ def lemma_report(seed: int = 0, cases: int = 200) -> dict:
     fails = 0
     ran = 0
     for _ in range(cases):
-        bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
-        w = PeriodicSeq._trusted(bits + (1,), (0,))
+        bits = bytes(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
+        w = PeriodicSeq._trusted(bits + b"\1", b"\0")
         if not is_parry_admissible(w) or w._pre.count(1) < 2:
             continue
-        bits2 = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
-        w2 = PeriodicSeq._trusted(bits2 + (1,), (0,))
+        bits2 = bytes(rng.randint(0, 1) for _ in range(rng.randint(2, 10)))
+        w2 = PeriodicSeq._trusted(bits2 + b"\1", b"\0")
         if not is_parry_admissible(w2) or w2._pre.count(1) < 2:
             continue
         if w == w2:

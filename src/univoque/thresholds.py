@@ -95,11 +95,11 @@ def min_extremal_recursive(k: int) -> PeriodicSeq:
     _check_period(k)
     key = decompose(k)
     if k == 1:
-        return PeriodicSeq._trusted((), (1,))
+        return PeriodicSeq._trusted(b"", b"\1")
     if key.m == 0:
-        s = PeriodicSeq._trusted((), (0,))
+        s = PeriodicSeq._trusted(b"", b"\0")
     else:
-        s = PeriodicSeq._trusted((), (1,) + (1, 0) * key.m)
+        s = PeriodicSeq._trusted(b"", b"\1" + b"\1\0" * key.m)
     for _ in range(key.n):
         s = doubling_map(s)
     return s
@@ -117,17 +117,17 @@ def min_extremal_explicit(k: int) -> PeriodicSeq:
     _check_period(k)
     key = decompose(k)
     if k == 1:
-        return PeriodicSeq._trusted((), (1,))
-    tm = thue_morse(3 * (1 << key.n) + 1).bits  # tm[i] is the i-th symbol
+        return PeriodicSeq._trusted(b"", b"\1")
+    tm = thue_morse(3 * (1 << key.n) + 1)._bits  # tm[i] is the i-th symbol
     if key.m == 0:
         size = 1 << key.n
-        block = tm[1:size] + (1 - tm[size],)
+        block = tm[1:size] + bytes([1 - tm[size]])
     else:
         head = tm[1:3 * (1 << key.n) + 1]
         rep_size = 1 << (key.n + 1)
-        rep = tm[1:rep_size] + (1 - tm[rep_size],)
+        rep = tm[1:rep_size] + bytes([1 - tm[rep_size]])
         block = head + rep * (key.m - 1)
-    return PeriodicSeq._trusted((), block)
+    return PeriodicSeq._trusted(b"", block)
 
 
 def threshold_poly(k: int) -> IntPolynomial:
@@ -186,7 +186,7 @@ def _kl_sign(x: Fraction) -> int:
             n, d = n * p, d * q
             digits.append(int(n >= d))
             n -= digits[-1] * d
-        word, tm = tuple(digits), thue_morse(len(digits) + 1).bits[1:]
+        word, tm = bytes(digits), thue_morse(len(digits) + 1)._bits[1:]
         if word != tm:
             return 1 if word < tm else -1
 
@@ -232,7 +232,7 @@ def below_komornik_loreti(k: int) -> bool:
     """
     if k < 2:
         raise PreconditionViolated("thresholds start at k = 2")
-    return min_extremal_recursive(k).period.bits * 3 < thue_morse(3 * k + 1).bits[1:]
+    return min_extremal_recursive(k)._per * 3 < thue_morse(3 * k + 1)._bits[1:]
 
 
 def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:
@@ -242,6 +242,6 @@ def greedy_threshold(n: int, eps: float = 1e-8) -> AlgebraicBeta:
     if n < 2:
         raise PreconditionViolated("defined for n >= 2")
     _check_period(n)
-    beta = solve_base(PeriodicSeq._trusted((1,) + (0,) * (n - 2) + (1,), (0,)))
+    beta = solve_base(PeriodicSeq._trusted(b"\1" + b"\0" * (n - 2) + b"\1", b"\0"))
     beta.refine(Fraction(eps))
     return beta

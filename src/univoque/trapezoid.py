@@ -10,7 +10,9 @@ unimodal order already counts: s_i is the parity of the Rs at positions
 0..i.  The encoding preserves the position of every symbol, halves the
 period exactly on half-mirror squares (there the shifted sequence is the
 mirror, so the run starts repeat after half the period), and is an order
-isomorphism onto the unimodal order.
+isomorphism onto the unimodal order.  An itinerary holds its symbols as
+one str (its public ``preperiod`` and ``period`` are tuples of one-letter
+str), a 0-1 sequence as bytes (see words); the encoding translates them.
 
 The map is evaluated in floats at float(beta).  One step gives a point's
 symbol and image; it refuses a point outside the domain or within the
@@ -67,8 +69,8 @@ BOUNDARY_TOL = 1e-10
 
 _SYMBOLS = ("L", "C", "R")
 _RANK = {"L": 0, "C": 1, "R": 2}
-_LR = ("L", "R")  # the symbol of bit b: of a run start in the encoding, of R in a cycle
-_R_BIT = {"L": 0, "R": 1}
+_LR_OF_BITS = bytes.maketrans(b"\0\1", b"LR")  # R for a run start, or for 1 in a cycle
+_BITS_OF_LR = bytes.maketrans(b"LR", b"\0\1")
 
 
 class Itinerary(_EventuallyPeriodic):
@@ -82,7 +84,7 @@ class Itinerary(_EventuallyPeriodic):
 
     __slots__ = ()
     _PATTERN = re.compile(r"([LCR]*)(?:\(([LCR]+)\)\^w)?")
-    _SYMBOLS_OF = staticmethod(tuple)
+    _SYMBOLS_OF = _TEXT_OF = staticmethod(str)
     _NOUN = "itinerary"
 
     def __init__(self, preperiod=(), period=()):
@@ -90,15 +92,15 @@ class Itinerary(_EventuallyPeriodic):
         for out in (pre, per):
             if any(s not in _SYMBOLS for s in out):
                 raise ValueError(f"symbols must be L, C or R: {out!r}")
-        super().__init__(pre, per)
+        super().__init__("".join(pre), "".join(per))
 
     @property
     def preperiod(self) -> tuple[str, ...]:
-        return self._pre
+        return tuple(self._pre)
 
     @property
     def period(self) -> tuple[str, ...]:
-        return self._per
+        return tuple(self._per)
 
     @property
     def is_periodic(self) -> bool:
@@ -187,7 +189,7 @@ def itinerary(params, x: float, n: int) -> Itinerary:
     for _ in range(n):
         sym, x = params._step(x)
         syms.append(sym)
-    return Itinerary._trusted(tuple(syms), ())
+    return Itinerary._trusted("".join(syms), "")
 
 
 def encode_itinerary(s: PeriodicSeq) -> Itinerary:
@@ -200,7 +202,7 @@ def encode_itinerary(s: PeriodicSeq) -> Itinerary:
     """
     p = len(s._pre)
     bits = s._head(p + len(s._per) + 1)
-    syms = tuple([_LR[a ^ b] for a, b in zip((0,) + bits, bits)])
+    syms = bytes(map(xor, b"\0" + bits, bits)).translate(_LR_OF_BITS).decode()
     return Itinerary._trusted(syms[:p + 1], syms[p + 1:])
 
 
@@ -215,14 +217,14 @@ def decode_itinerary(it: Itinerary) -> PeriodicSeq:
         raise NotInImageError("finite itineraries do not determine a sequence")
     if "C" in pre or "C" in per:
         raise NotInImageError("plateau symbol C is outside the encoding's image")
-    bits = _r_parity(map(_R_BIT.__getitem__, pre + per * 2))
+    bits = _r_parity((pre + per * 2).encode().translate(_BITS_OF_LR))
     p = len(pre)
     return PeriodicSeq._trusted(bits[:p], bits[p:])
 
 
-def _r_parity(rs) -> tuple[int, ...]:
+def _r_parity(rs: bytes) -> bytes:
     """The decoding rule: bit i is the parity of the 1s (the Rs) in rs[0..i]."""
-    return tuple(accumulate(rs, xor))
+    return bytes(accumulate(rs, xor))
 
 
 def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
@@ -283,9 +285,9 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
     # a decoded word has period n or 2n, and its shifts by n or more mirror
     # those below n, which the two-sided criterion treats alike
     bound = _BoundPrefix(beta, 2 * n, None)
-    found = [Itinerary._trusted((), tuple(map(_LR.__getitem__, bits)))
+    found = [Itinerary._trusted("", bits.translate(_LR_OF_BITS).decode())
              for bits in _pruned_necklaces(bound, n, True)
-             if bits == (0,) or bound.admits(_r_parity(bits * 2), n)]
+             if bits == b"\0" or bound.admits(_r_parity(bits * 2), n)]
     return found[::-1]
 
 

@@ -16,7 +16,10 @@ all operate on that canonical form, so the primitive period of a purely
 periodic sequence is simply ``len(s.period)``.  That form, with parsing,
 symbol access, prefixes and the text form, lives in one private base
 class shared with the {L, C, R} itineraries of ``trapezoid``; words of
-different types are never equal.
+different types are never equal.  The symbols are held as bytes of the
+values 0 and 1 (one str over L, C, R in an itinerary), so a mirror or a
+text is one translate and a window compare one bytes compare; the public
+``BinaryWord.bits`` converts them to a tuple of ints.
 
 Symbols are checked once, where caller data enters: in the public
 constructors of ``BinaryWord``, ``PeriodicSeq`` and ``Itinerary``, and by
@@ -37,19 +40,21 @@ NECKLACE_LIMIT = 24
 
 _BitsLike = Union["BinaryWord", str, Iterable[int]]
 _BITS_OF_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS_OF_BITS = bytes.maketrans(b"\0\1", b"01")
+_MIRROR = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _coerce_bits(bits: _BitsLike) -> tuple[int, ...]:
+def _coerce_bits(bits: _BitsLike) -> bytes:
     if isinstance(bits, BinaryWord):
-        return bits.bits
+        return bits._bits
     if isinstance(bits, str):
         if bits.count("0") + bits.count("1") != len(bits):
             raise ValueError(f"not a binary word: {bits!r}")
-        return tuple(map(int, bits))
+        return PeriodicSeq._SYMBOLS_OF(bits)
     out = tuple(map(int, bits))
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"symbols must be 0 or 1, got {out}")
-    return out
+    return bytes(out)
 
 
 class BinaryWord:
@@ -61,18 +66,18 @@ class BinaryWord:
         self._bits = _coerce_bits(bits)
 
     @classmethod
-    def _trusted(cls, bits: tuple[int, ...]) -> "BinaryWord":
-        """A word on a tuple of ints already known to be 0s and 1s."""
+    def _trusted(cls, bits: bytes) -> "BinaryWord":
+        """A word on bytes already known to be 0s and 1s."""
         word = object.__new__(cls)
         word._bits = bits
         return word
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self._bits
+        return tuple(self._bits)
 
     def mirror(self) -> "BinaryWord":
-        return BinaryWord._trusted(tuple([1 - b for b in self._bits]))
+        return BinaryWord._trusted(self._bits.translate(_MIRROR))
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -100,23 +105,19 @@ class BinaryWord:
         return hash(("BinaryWord", self._bits))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return PeriodicSeq._TEXT_OF(self._bits)
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"
 
 
-def _primitive_root(word: tuple) -> tuple:
-    """Shortest u with word = u^m: the prefix of the least length p
-    dividing n = |word| for which word has period p."""
-    n = len(word)
-    for p in range(1, n // 2 + 1):
-        if not n % p and word[p:] == word[:-p]:
-            return word[:p]
-    return word
+def _primitive_root(word):
+    """Shortest u with word = u^m: its length is the least p > 0 at which
+    word occurs in word + word (a bytes or str search)."""
+    return word[:(word + word).find(word, 1)] if word else word
 
 
-def _canonical(pre: tuple, per: tuple) -> tuple[tuple, tuple]:
+def _canonical(pre, per):
     """Minimal preperiod, primitive period.  This form is unique: the
     k trailing symbols of pre that match the period read backwards move
     into it, which rotates the period right by k."""
@@ -132,25 +133,26 @@ def _canonical(pre: tuple, per: tuple) -> tuple[tuple, tuple]:
 
 class _EventuallyPeriodic:
     """Shared core of the eventually periodic word types: the canonical
-    (preperiod, period) pair of symbol tuples.  An empty period marks a
-    finite word.  Subclasses check their symbols before calling this
-    constructor and name their text pattern, the converter from its
-    matched text to a symbol tuple, and their noun."""
+    (preperiod, period) pair of symbol strings, bytes or str.  An empty
+    period marks a finite word.  Subclasses check their symbols before
+    calling this constructor and name their text pattern, the converters
+    between its matched text and their symbols, and their noun."""
 
     __slots__ = ("_pre", "_per")
     _PATTERN: re.Pattern
     _SYMBOLS_OF: staticmethod
+    _TEXT_OF: staticmethod
     _NOUN: str
 
-    def __init__(self, pre: tuple, per: tuple):
+    def __init__(self, pre, per):
         if per:
             pre, per = _canonical(pre, per)
         self._pre = pre
         self._per = per
 
     @classmethod
-    def _trusted(cls, pre: tuple, per: tuple):
-        """A word on symbol tuples already known to be valid, put in
+    def _trusted(cls, pre, per):
+        """A word on symbol strings already known to be valid, put in
         canonical form."""
         word = object.__new__(cls)
         _EventuallyPeriodic.__init__(word, pre, per)
@@ -177,8 +179,8 @@ class _EventuallyPeriodic:
             return None
         return self._per[(i - p) % len(self._per)]
 
-    def _head(self, n: int) -> tuple:
-        """The first n symbols (fewer if the word is finite) as a plain tuple."""
+    def _head(self, n: int):
+        """The first n symbols (fewer if the word is finite), as stored."""
         p, per = self._pre, self._per
         if n <= len(p) or not per:
             return p[:n]
@@ -194,10 +196,10 @@ class _EventuallyPeriodic:
         return hash((self._pre, self._per))
 
     def __str__(self) -> str:
-        pre = "".join(map(str, self._pre))
+        pre = self._TEXT_OF(self._pre)
         if not self._per:
             return pre
-        return f"{pre}({''.join(map(str, self._per))})^w"
+        return f"{pre}({self._TEXT_OF(self._per)})^w"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}.parse({str(self)!r})"
@@ -213,8 +215,8 @@ class PeriodicSeq(_EventuallyPeriodic):
 
     __slots__ = ()
     _PATTERN = re.compile(r"([01]*)\(([01]+)\)\^w")
-    # the digits' bytes translated to 0 and 1, which read back as ints
-    _SYMBOLS_OF = staticmethod(lambda text: tuple(text.encode().translate(_BITS_OF_DIGITS)))
+    _SYMBOLS_OF = staticmethod(lambda digits: digits.encode().translate(_BITS_OF_DIGITS))
+    _TEXT_OF = staticmethod(lambda bits: bits.translate(_DIGITS_OF_BITS).decode())
     _NOUN = "periodic sequence"
 
     def __init__(self, preperiod: _BitsLike = (), period: _BitsLike = (1,)):
@@ -265,13 +267,13 @@ def shift(s: PeriodicSeq, j: int) -> PeriodicSeq:
     if j <= p:
         return PeriodicSeq._trusted(s._pre[j:], s._per)
     d = (j - p) % q
-    return PeriodicSeq._trusted((), s._per[d:] + s._per[:d])
+    return PeriodicSeq._trusted(b"", s._per[d:] + s._per[:d])
 
 
 def mirror(s):
     """Complement every symbol."""
     if isinstance(s, PeriodicSeq):
-        return PeriodicSeq._trusted(tuple(1 - b for b in s._pre), tuple(1 - b for b in s._per))
+        return PeriodicSeq._trusted(s._pre.translate(_MIRROR), s._per.translate(_MIRROR))
     return BinaryWord(s).mirror()
 
 
@@ -283,16 +285,23 @@ def thue_morse(n: int) -> BinaryWord:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return BinaryWord._trusted(tuple([bin(k).count("1") & 1 for k in range(n)]))
+    tm = b"\0"
+    while len(tm) < n:  # the first 2^(k+1) symbols: the first 2^k, then their mirror
+        tm += tm.translate(_MIRROR)
+    return BinaryWord._trusted(tm[:n])
+
+
+def _pairs(bits: bytes) -> bytes:
+    """Each symbol followed by its complement: b_1 (1-b_1) b_2 (1-b_2) ..."""
+    out = bytearray(2 * len(bits))
+    out[::2] = bits
+    out[1::2] = bits.translate(_MIRROR)
+    return bytes(out)
 
 
 def tm_morphism(w: _BitsLike) -> BinaryWord:
     """Apply the substitution 0 -> 01, 1 -> 10 to a finite word."""
-    out = []
-    for b in _coerce_bits(w):
-        out.append(b)
-        out.append(1 - b)
-    return BinaryWord._trusted(tuple(out))
+    return BinaryWord._trusted(_pairs(_coerce_bits(w)))
 
 
 def doubling_prefix(bits: _BitsLike, n: int) -> BinaryWord:
@@ -301,17 +310,13 @@ def doubling_prefix(bits: _BitsLike, n: int) -> BinaryWord:
     The image starts with 1 and continues with the pair (b, 1-b) for each
     input symbol b, so n output symbols consume ceil((n-1)/2) input ones.
     """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     src = _coerce_bits(bits)
     need = (n + 1) // 2
     if len(src) < need:
         raise ValueError(f"need {need} input symbols for {n} output symbols")
-    out = [1]
-    for b in src:
-        out.append(b)
-        out.append(1 - b)
-        if len(out) >= n:
-            break
-    return BinaryWord._trusted(tuple(out[:n]))
+    return BinaryWord._trusted((b"\1" + _pairs(src[:need]))[:n])
 
 
 def doubling_map(s: PeriodicSeq) -> PeriodicSeq:
@@ -323,12 +328,9 @@ def doubling_map(s: PeriodicSeq) -> PeriodicSeq:
     a (p, q) sequence repeats with period 2q from position 2p + 1 onward.
     """
     p, q = len(s._pre), len(s._per)
-    out = [1]
-    for b in s._head(p + 2 * q):
-        out.append(b)
-        out.append(1 - b)
+    out = b"\1" + _pairs(s._head(p + 2 * q))
     cut = 2 * p + 1
-    return PeriodicSeq._trusted(tuple(out[:cut]), tuple(out[cut:cut + 2 * q]))
+    return PeriodicSeq._trusted(out[:cut], out[cut:cut + 2 * q])
 
 
 def is_extremal(s: PeriodicSeq) -> bool:
@@ -342,7 +344,7 @@ def is_extremal(s: PeriodicSeq) -> bool:
     n = len(s._pre) + len(s._per)
     head = s._head(2 * n)
     top = head[:n]
-    low = tuple(1 - b for b in top)
+    low = top.translate(_MIRROR)
     return all(low <= head[k:k + n] <= top for k in range(n))
 
 
@@ -353,7 +355,7 @@ def split_halfmirror(u: _BitsLike) -> Optional[BinaryWord]:
     if n == 0 or n % 2:
         return None
     half = bits[:n // 2]
-    if bits[n // 2:] == tuple(1 - b for b in half):
+    if bits[n // 2:] == half.translate(_MIRROR):
         return BinaryWord._trusted(half)
     return None
 
@@ -373,8 +375,8 @@ def primitive_necklaces(n: int) -> list[Necklace]:
     return [Necklace(BinaryWord._trusted(w), n) for w in _necklace_words(n)][::-1]
 
 
-def _necklace_words(n: int) -> Iterator[tuple[int, ...]]:
-    """The words of primitive_necklaces(n) as tuples, largest first.
+def _necklace_words(n: int) -> Iterator[bytes]:
+    """The symbols of the words of primitive_necklaces(n), largest first.
 
     Duval's algorithm over the reversed alphabet (1 before 0) yields
     exactly these words: decrement the last symbol, extend periodically
@@ -386,12 +388,12 @@ def _necklace_words(n: int) -> Iterator[tuple[int, ...]]:
     if n > NECKLACE_LIMIT:
         raise TooLargeError(
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
-    w = [2]
+    w = bytearray([2])
     while w:
         w[-1] -= 1
         m = len(w)
         if m == n:
-            yield tuple(w)
+            yield bytes(w)
         while len(w) < n:
             w.append(w[len(w) - m])
         while w and w[-1] == 0:

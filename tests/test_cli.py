@@ -406,6 +406,34 @@ def test_counts_that_mean_nothing_are_rejected(capsys, argv, condition):
     assert err.startswith("error: ") and condition in err
 
 
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, limit, message", [
+    (["expand", "--beta", "float:1.8", "--x", "0.3", "--digits"], cli.DIGITS_LIMIT,
+     "expansion capped at digits <= DIGITS_LIMIT = 10000"),
+    (["orbit", "--beta", "float:1.8", "--x", "0.3", "--steps"], cli.STEPS_LIMIT,
+     "orbit capped at steps <= STEPS_LIMIT = 100000"),
+    (["conjecture-2n", "--n", "1", "--steps"], cli.SCAN_LIMIT,
+     "scan capped at steps <= SCAN_LIMIT = 100"),
+    (["verify-lemmas", "--cases"], cli.CASES_LIMIT,
+     "lemma checks capped at cases <= CASES_LIMIT = 10000"),
+])
+def test_counts_past_their_cap_fail_before_any_work(capsys, monkeypatch, argv, limit, message):
+    def started(*args, **kwargs):
+        raise _WorkStarted
+
+    monkeypatch.setattr(cli, "as_beta", started)
+    monkeypatch.setattr(cli.thresholds, "threshold_beta", started)
+    monkeypatch.setattr(cli.oracle, "lemma_report", started)
+    with pytest.raises(_WorkStarted):  # the cap itself is allowed
+        main(argv + [str(limit)])
+    for count in (limit + 1, 10 ** 15):
+        code, out, err = run(capsys, *argv, str(count))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_kl_refuses_eps_below_its_floor():
     # a subprocess, so that a regression to an endless bisection fails
     # on the timeout instead of hanging the suite

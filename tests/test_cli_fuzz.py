@@ -7,9 +7,11 @@ The edge values are bases at 1, at 2, at thresholds and outside (1, 2);
 `poly:` text with empty or zero coefficients; x at +-inf, NaN, 1/0 and
 1e400; eps of 0, denormal and NaN; and sizes just past each cap.  The
 count arguments `expand --digits`, `orbit --steps`, `conjecture-2n
---steps` and `verify-lemmas --cases` have no cap (at an exact base
-`expand --digits N` builds an N-entry list), so they are drawn from small
-values only.  `lr-cycles` near base 2 prints about 2^n / n cycles, so n
+--steps` and `verify-lemmas --cases` are drawn evenly from small values,
+values below 1 and values just past and far past their caps
+(`cli.DIGITS_LIMIT`, `STEPS_LIMIT`, `SCAN_LIMIT`, `CASES_LIMIT`), so that
+each goes past its cap several times; never at a cap, where a call takes
+seconds.  `lr-cycles` near base 2 prints about 2^n / n cycles, so n
 stays at most 12 below its cap.
 
 Stdlib only, so it also runs as a plain script:
@@ -55,9 +57,13 @@ PERIODS = (["2", "3", "5", "7", "24", "64", "256"],
 TABLE_ROWS = (["2", "3", "8", "24"], ["-1", "0", "1", "257", "1000", "99999999999999", "x"])
 ORDER_ROWS = (["2", "5", "12", "30"], ["-5", "0", "1", "31", "99999999999999", "x"])
 LR_N = (["1", "2", "3", "5", "8", "12"], ["-1", "0", "25", "99999999999999", "x"])
-SMALL_COUNTS = (["1", "5", "16"], ["-1", "0", "x"])
 SCAN_N = (["1", "2", "3"], ["-1", "0", "5", "99"])
 SCAN_BASES = (["1.5", "1.6", "1.8", "1.9"], ["1", "2", "2.5", "nan", "inf", "-1"])
+
+
+def _counts(limit: int) -> list:
+    """Small counts and edge values, from below 1 to far past the cap."""
+    return ["1", "5", "16", "-1", "0", "x", str(limit + 1), "99999999999999"]
 
 
 def _argv(rng: random.Random, command: str) -> list:
@@ -75,7 +81,7 @@ def _argv(rng: random.Random, command: str) -> list:
         return [command, pick(PERIODS), "--method", pick(["recursive", "explicit", "both"])]
     if command == "expand":
         return [command, "--beta", pick(BASES), "--x", pick(POINTS),
-                "--digits", pick(SMALL_COUNTS)]
+                "--digits", pick(_counts(cli.DIGITS_LIMIT))]
     if command == "check-unique":
         argv = [command, "--beta", pick(BASES), "--seq", pick(SEQS)]
         return argv + ["--budget", pick(["-1", "0", "5", "256"])] if rng.random() < 0.5 else argv
@@ -83,7 +89,7 @@ def _argv(rng: random.Random, command: str) -> list:
         return [command, pick(ORDER_ROWS)]
     if command == "orbit":
         return [command, "--beta", pick(BASES), "--x", pick(POINTS),
-                "--steps", pick(SMALL_COUNTS), "--map", pick(["F", "T"])]
+                "--steps", pick(_counts(cli.STEPS_LIMIT)), "--map", pick(["F", "T"])]
     if command == "lr-cycles":
         return [command, "--beta", pick(BASES), "--n", pick(LR_N)]
     if command == "extension3":
@@ -91,11 +97,12 @@ def _argv(rng: random.Random, command: str) -> list:
     if command == "kl":
         return [command, "--eps", pick(EPS)]
     if command == "conjecture-2n":
-        argv = [command, "--n", pick(SCAN_N), "--steps", pick(SMALL_COUNTS)]
+        argv = [command, "--n", pick(SCAN_N), "--steps", pick(_counts(cli.SCAN_LIMIT))]
         if rng.random() < 0.5:
             argv += ["--beta-min", pick(SCAN_BASES), "--beta-max", pick(SCAN_BASES)]
         return argv
-    return [command, "--seed", str(rng.randrange(1000)), "--cases", pick(SMALL_COUNTS)]
+    return [command, "--seed", str(rng.randrange(1000)), "--cases",
+            pick(_counts(cli.CASES_LIMIT))]
 
 
 def _on_alarm(signum, frame):

@@ -158,7 +158,7 @@ class TestFloatOrbitLoop:
             want, error, t, err = float_orbit_reference(b, tol, 1.0, n)
             kinds.add(error is None)
             exp = d_of_beta(FloatBeta(b, tol))
-            assert exp._certified_prefix(n) == tuple(want), (b, tol, n)
+            assert exp._certified_prefix(n) == bytes(want), (b, tol, n)
             assert exp._failed == (None if error is None else str(error))
             assert (exp._orbit.t, exp._orbit.err) == (t, err), (b, tol, n)
             if error is not None:

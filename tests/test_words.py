@@ -1,5 +1,7 @@
+import math
 import random
-from itertools import product
+from itertools import accumulate, product
+from operator import xor
 
 import pytest
 
@@ -14,6 +16,7 @@ from univoque.words import (
     is_extremal,
     lex_cmp,
     mirror,
+    primitive_necklaces,
     shift,
     split_halfmirror,
     thue_morse,
@@ -22,6 +25,7 @@ from univoque.words import (
     _primitive_root,
 )
 from univoque.expansions import AlgebraicBeta, d_of_beta, is_parry_admissible, solve_base
+from univoque.oracle import extremal_rotation
 from univoque.thresholds import min_extremal_recursive, threshold_poly
 from univoque.trapezoid import (
     Itinerary,
@@ -140,14 +144,26 @@ def _random_lcr_words(count: int):
                tuple(rng.choice("LCR") for _ in range(rng.randint(1, 12))))
 
 
+def _stored_bits(*words):
+    """Tuples of 0s and 1s as the words layer stores them: bytes."""
+    return tuple(map(bytes, words))
+
+
+def _stored_lcr(*words):
+    """Tuples over L, C, R as the words layer stores them: one str each."""
+    return tuple(map("".join, words))
+
+
 class TestCanonicalFormAgainstReferences:
-    """The canonical form agrees with the border-array primitive root and
-    the symbol-at-a-time absorption of the preperiod it replaced."""
+    """The canonical form, on the stored symbols, agrees with the
+    border-array primitive root and the symbol-at-a-time absorption of
+    the preperiod it replaced, run on tuples."""
 
     def test_primitive_root_on_every_short_binary_word(self):
         for n in range(13):
             for w in product((0, 1), repeat=n):
-                assert _primitive_root(w) == kmp_primitive_root(w)
+                assert (_primitive_root(*_stored_bits(w))
+                        == _stored_bits(kmp_primitive_root(w))[0])
 
     def test_primitive_root_on_seeded_lcr_words(self):
         rng = random.Random(SEED)
@@ -155,33 +171,43 @@ class TestCanonicalFormAgainstReferences:
             block = tuple(rng.choice("LCR") for _ in range(rng.randint(1, 5)))
             w = block * rng.randint(1, 4) + tuple(rng.choice("LCR")
                                                   for _ in range(rng.randint(0, 1)))
-            assert _primitive_root(w) == kmp_primitive_root(w)
+            assert (_primitive_root(*_stored_lcr(w))
+                    == _stored_lcr(kmp_primitive_root(w))[0])
 
     def test_canonical_on_every_short_binary_pair(self):
         for pre, per in _words_up_to((0, 1), 4, 8):
-            assert _canonical(pre, per) == symbolwise_canonical(pre, per)
+            assert (_canonical(*_stored_bits(pre, per))
+                    == _stored_bits(*symbolwise_canonical(pre, per)))
 
     def test_canonical_on_seeded_lcr_pairs(self):
         for pre, per in _random_lcr_words(3000):
-            assert _canonical(pre, per) == symbolwise_canonical(pre, per)
+            assert (_canonical(*_stored_lcr(pre, per))
+                    == _stored_lcr(*symbolwise_canonical(pre, per)))
             # a period built as a repeated block with the preperiod's tail in it
             per2 = per * 2
             pre2 = pre + per2[len(per2) // 2:]
-            assert _canonical(pre2, per2) == symbolwise_canonical(pre2, per2)
+            assert (_canonical(*_stored_lcr(pre2, per2))
+                    == _stored_lcr(*symbolwise_canonical(pre2, per2)))
 
 
 def _assert_plain(word) -> None:
-    """An internally built word holds tuples of plain symbols (ints 0 and
-    1, never bools; or "L", "C", "R") and equals, with the same hash, the
-    word the public constructor builds from the same symbols."""
+    """An internally built word holds its symbols as stored (bytes of the
+    values 0 and 1; or one str over "L", "C", "R"), converts them to plain
+    tuples at its public accessors (ints, never bools; or one-letter str),
+    and equals, with the same hash, the word the public constructor
+    builds from the same symbols."""
     pre, per = word._pre, word._per
-    assert type(pre) is tuple and type(per) is tuple
     if isinstance(word, PeriodicSeq):
-        assert all(type(b) is int and b in (0, 1) for b in pre + per), (pre, per)
-        assert type(word.preperiod.bits) is tuple and type(word.prefix(3).bits) is tuple
+        assert type(pre) is bytes and type(per) is bytes
+        assert all(b in (0, 1) for b in pre + per), (pre, per)
+        for bits in (word.preperiod.bits, word.period.bits, word.prefix(3).bits):
+            assert type(bits) is tuple and all(type(b) is int for b in bits), bits
         assert set(str(word)) <= set("01()^w")
     else:
-        assert all(type(x) is str and x in ("L", "C", "R") for x in pre + per), (pre, per)
+        assert type(pre) is str and type(per) is str
+        assert all(x in ("L", "C", "R") for x in pre + per), (pre, per)
+        for syms in (word.preperiod, word.period):
+            assert type(syms) is tuple and all(type(x) is str for x in syms), syms
     public = type(word)(list(pre), list(per))
     assert public == word and hash(public) == hash(word)
 
@@ -223,6 +249,146 @@ class TestInternalWordsHoldPlainSymbols:
     @pytest.mark.parametrize("k", range(1, 25))
     def test_least_extremal_sequences(self, k):
         _assert_plain(min_extremal_recursive(k))
+
+
+# ---- tuple-of-ints definitions: the words layer as it was written on
+# tuples, for the seeded equivalence test below.  A sequence is a
+# (preperiod, period) pair of tuples; itineraries use one-letter str.
+
+def _t_head(pre: tuple, per: tuple, n: int) -> tuple:
+    out = list(pre[:n])
+    while len(out) < n:
+        out.append(per[(len(out) - len(pre)) % len(per)])
+    return tuple(out)
+
+
+def _t_cmp(a: tuple, b: tuple) -> int:
+    """Lexicographic order on the lcm length, longer than Fine-Wilf."""
+    n = len(a[0]) + len(b[0]) + math.lcm(len(a[1]), len(b[1]))
+    wa, wb = _t_head(*a, n), _t_head(*b, n)
+    return (wa > wb) - (wa < wb)
+
+
+def _t_shift(s: tuple, j: int) -> tuple:
+    """Symbols j.. of s: from position p on, s repeats with period q."""
+    p, q = len(s[0]), len(s[1])
+    head = _t_head(*s, j + p + q)
+    return symbolwise_canonical(head[j:j + p], head[j + p:])
+
+
+def _t_mirror(s: tuple) -> tuple:
+    return tuple(1 - b for b in s[0]), tuple(1 - b for b in s[1])
+
+
+def _t_is_extremal(s: tuple) -> bool:
+    low = _t_mirror(s)
+    return all(_t_cmp(low, _t_shift(s, k)) <= 0 <= _t_cmp(s, _t_shift(s, k))
+               for k in range(len(s[0]) + len(s[1])))
+
+
+def _t_is_parry_admissible(s: tuple) -> bool:
+    return all(_t_cmp(_t_shift(s, k), s) < 0 for k in range(1, len(s[0]) + len(s[1]) + 1))
+
+
+def _t_extremal_rotation(per: tuple) -> tuple:
+    """Largest rotation of the period or of its mirror: all have length q."""
+    q = len(per)
+    words = (per, _t_mirror(((), per))[1])
+    return (), max(w[j:] + w[:j] for w in words for j in range(q))
+
+
+def _t_doubling(s: tuple) -> tuple:
+    """1, then (s_i, 1 - s_i) for each symbol: preperiod 2p + 1, period 2q."""
+    p, q = len(s[0]), len(s[1])
+    image = (1,) + tuple(x for b in _t_head(*s, p + 2 * q) for x in (b, 1 - b))
+    return symbolwise_canonical(image[:2 * p + 1], image[2 * p + 1:])
+
+
+def _t_encode(s: tuple) -> tuple:
+    """R exactly where a symbol differs from the one before (s_(-1) = 0)."""
+    p, q = len(s[0]), len(s[1])
+    bits = (0,) + _t_head(*s, p + q + 1)
+    syms = tuple("R" if a != b else "L" for a, b in zip(bits, bits[1:]))
+    return symbolwise_canonical(syms[:p + 1], syms[p + 1:])
+
+
+def _t_decode(it: tuple) -> tuple:
+    """Bit i is the parity of the Rs at positions 0..i."""
+    p = len(it[0])
+    bits = tuple(accumulate((int(x == "R") for x in it[0] + it[1] * 2), xor))
+    return symbolwise_canonical(bits[:p], bits[p:])
+
+
+def _t_unimodal_cmp(a: tuple, b: tuple) -> int:
+    """First difference with L < C < R, flipped after an odd number of Rs."""
+    n = len(a[0]) + len(b[0]) + math.lcm(len(a[1]), len(b[1]))
+    wa, wb = _t_head(*a, n), _t_head(*b, n)
+    for i, (x, y) in enumerate(zip(wa, wb)):
+        if x != y:
+            sign = 1 if "LCR".index(x) > "LCR".index(y) else -1
+            return -sign if wa[:i].count("R") % 2 else sign
+    return 0
+
+
+def _t_text(s: tuple) -> str:
+    return "".join(map(str, s[0])) + "(" + "".join(map(str, s[1])) + ")^w"
+
+
+def _as_tuples(word) -> tuple:
+    """A word's stored symbols as the (preperiod, period) pair of tuples."""
+    return tuple(word._pre), tuple(word._per)
+
+
+class TestAgainstTupleDefinitions:
+    """Seeded words with preperiod at most 6 and period at most 12: every
+    words-layer operation on the stored bytes and str gives what its
+    definition on tuples of ints (or of one-letter str) gives, and the
+    public accessors hand out those tuples."""
+
+    @staticmethod
+    def pairs(count: int = 3000):
+        rng = random.Random(SEED + 11)
+        for _ in range(count):
+            yield tuple(tuple(rng.randint(0, 1) for _ in range(rng.randint(lo, hi)))
+                        for lo, hi in ((0, 6), (1, 12), (0, 6), (1, 12)))
+
+    def test_operations_match_tuple_definitions(self):
+        for pre, per, pre2, per2 in self.pairs():
+            s, t = PeriodicSeq(pre, per), PeriodicSeq(pre2, per2)
+            a, b = symbolwise_canonical(pre, per), symbolwise_canonical(pre2, per2)
+            assert _as_tuples(s) == a and _as_tuples(t) == b, (pre, per)
+            assert _canonical(bytes(pre), bytes(per)) == (bytes(a[0]), bytes(a[1]))
+            assert lex_cmp(s, t) == _t_cmp(a, b), (s, t)
+            assert lex_cmp(s.prefix(9), t.prefix(9)) == _t_cmp((_t_head(*a, 9), (0,)),
+                                                               (_t_head(*b, 9), (0,)))
+            for j in (0, 1, len(pre), len(pre) + len(per) + 1):
+                assert _as_tuples(shift(s, j)) == _t_shift(a, j), (s, j)
+            assert _as_tuples(mirror(s)) == _t_mirror(a), s
+            assert is_extremal(s) == _t_is_extremal(a), s
+            assert is_parry_admissible(s) == _t_is_parry_admissible(a), s
+            assert _as_tuples(doubling_map(s)) == _t_doubling(a), s
+            periodic = PeriodicSeq((), per)
+            assert _as_tuples(extremal_rotation(periodic)) == _t_extremal_rotation(periodic.period.bits)
+            image = encode_itinerary(s)
+            assert _as_tuples(image) == _t_encode(a), s
+            assert _as_tuples(decode_itinerary(image)) == _t_decode(_t_encode(a)) == a, s
+            assert unimodal_cmp(image, encode_itinerary(t)) == _t_unimodal_cmp(
+                _t_encode(a), _t_encode(b)), (s, t)
+            assert str(s) == _t_text(a) and PeriodicSeq.parse(_t_text((pre, per))) == s
+
+    def test_public_accessors_hand_out_tuples(self):
+        for pre, per, _, _ in self.pairs(200):
+            s = PeriodicSeq(pre, per)
+            for bits in (s.preperiod.bits, s.period.bits, s.prefix(7).bits, mirror(s).period.bits):
+                assert type(bits) is tuple and all(type(x) is int for x in bits)
+            it = encode_itinerary(s)
+            for syms in (it.preperiod, it.period):
+                assert type(syms) is tuple and all(type(x) is str and len(x) == 1 for x in syms)
+            assert (it.preperiod, it.period) == _t_encode(symbolwise_canonical(pre, per))
+        necklaces = primitive_necklaces(6)
+        assert all(type(n.representative) is BinaryWord for n in necklaces)
+        assert [n.representative.bits for n in necklaces] == sorted(
+            {max(w[j:] + w[:j] for j in range(6)) for w in primitive_words(6)})
 
 
 class TestLexCmp:
@@ -388,6 +554,9 @@ class TestDoublingMap:
             image = doubling_map(s)
             direct = doubling_prefix(s.prefix(20), 40)
             assert image.prefix(40) == direct
+        assert doubling_prefix("01", 0) == BinaryWord("")
+        with pytest.raises(ValueError, match="nonnegative"):
+            doubling_prefix("01", -1)
 
     def test_period_doubles_when_period_ends_in_zero(self):
         rng = random.Random(SEED + 5)

@@ -12,8 +12,8 @@ from operator import xor
 from univoque.algebraic import IntPolynomial
 from univoque.errors import (BoundaryAmbiguityError, MiddleGapError, OutOfDomainError,
                              UndecidableDigitError, UndecidedError)
-from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, _primitive_root,
-                             is_extremal, primitive_necklaces, thue_morse)
+from univoque.words import (EQUAL, GREATER, LESS, BinaryWord, PeriodicSeq, is_extremal,
+                             primitive_necklaces, thue_morse)
 from univoque.expansions import (DEFAULT_DIGIT_BUDGET, as_beta, d_of_beta, expansion_value,
                                  is_parry_admissible)
 from univoque.trapezoid import BOUNDARY_TOL, Itinerary, decode_itinerary
@@ -49,7 +49,7 @@ def random_seq(rng: random.Random, max_pre: int, max_period: int) -> PeriodicSeq
 def primitive_words(n: int) -> tuple[tuple[int, ...], ...]:
     """All primitive binary words of length exactly n."""
     return tuple(w for w in product((0, 1), repeat=n)
-                 if len(_primitive_root(w)) == n)
+                 if len(kmp_primitive_root(w)) == n)
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +430,7 @@ class EagerBoundPrefix:
         if bound is not None:
             self.top = bound.prefix(len(bound.preperiod) + len(bound.period) + q).bits
         else:
-            self.top = exp._certified_prefix(budget)
+            self.top = tuple(exp._certified_prefix(budget))
             n = len(self.top)
             if n < budget:
                 self.undecided = (UndecidableDigitError, (exp._failed,))

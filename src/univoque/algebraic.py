@@ -3,17 +3,18 @@
 Every sign decision here is exact: evaluation at a rational point reduces
 to integer arithmetic, root counting uses Descartes bounds under Mobius
 transforms, and isolating intervals shrink to the cells that bisection
-with exact endpoint signs reaches; a secant step may propose a cell of
-the bisection grid, which is taken only when the exact signs at its ends
-show that it holds the root.  Floats never participate in a certified
-decision; they only appear when a caller asks for an approximate value
+with exact endpoint signs reaches; a secant step or a float root may
+propose a cell of the bisection grid, which is taken only when the exact
+signs at its ends show that it holds the root.  Floats never decide
+anything: a float may propose a cell, but only exact signs take it.
+Otherwise floats appear only when a caller asks for an approximate value
 of an already-certified root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Iterable, Sequence
 
 from .errors import UndecidedError
@@ -21,6 +22,9 @@ from .errors import UndecidedError
 _MAX_ISOLATE_DEPTH = 400
 _SEPARATION_LEVELS = 256   # compare takes its one gcd only past this many levels
 _JUMP_MIN = 4              # shorter descents only bisect (a chosen value, not measured)
+_FLOAT_BITS = 44           # a float root proposes cells at most this many bits below the root (of 53)
+_NEWTON_STEPS = 64         # a float root not settled within this many steps proposes nothing
+_NEWTON_TOL = 2.0 ** -(_FLOAT_BITS + 3)  # a Newton step this small (relative) settles it
 
 
 def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -312,6 +316,71 @@ def _ancestor(start: tuple[int, int, int], iv: tuple[int, int, int], depth: int,
     return lo, lo + w, den << level
 
 
+def _float_root(coeffs: Sequence[int], lo, hi, s_lo: int):
+    """A float near the one root in (lo, hi) of the polynomial with these
+    coefficients, whose sign at lo is s_lo, or None.
+
+    It only proposes a point: _descend takes the cell around it only when
+    exact signs confirm it.  Newton's method runs on the reversed
+    polynomial y^d f(1/y) = sum c_i y^(d-i) in y = 1/x, from the end of
+    the bracket at x = hi, and each float sign shrinks the bracket; a step
+    that would leave it halves the bracket instead.  From (1, 2) every
+    threshold up to period 1024 settles in 4 or 5 steps; Newton on f
+    itself, from x = 2, takes 38 at period 256.  None when lo <= 0, when a
+    coefficient or an end does not fit a float, on a polynomial value that
+    is not finite, or when no step settles.
+    """
+    if lo <= 0:
+        return None
+    try:
+        c = [float(x) for x in coeffs]
+        ylo, yhi = 1 / float(hi), 1 / float(lo)
+    except OverflowError:
+        return None
+    y = ylo
+    for _ in range(_NEWTON_STEPS):
+        g = dg = 0.0
+        for ci in c:
+            dg = dg * y + g
+            g = g * y + ci
+        if not isfinite(g):
+            return None
+        # y^d f(1/y) has the sign of f(1/y), which is s_lo below the root
+        if (g > 0) == (s_lo > 0):
+            yhi = y
+        else:
+            ylo = y
+        step = g / dg if dg else inf if g else 0.0
+        if abs(step) <= y * _NEWTON_TOL:
+            return 1 / (y - step)
+        y -= step
+        if not ylo < y < yhi:  # out of the bracket, or no slope: halve it
+            y = (ylo + yhi) / 2
+    return None
+
+
+def _cell(coeffs: Sequence[int], s: int, a: int, w: int, den: int, t: int, num: int, qden: int):
+    """The cell of the level-t grid below (a, a + w, den) (see _descend)
+    beside grid point i = floor(num / qden), clamped to the grid, on the
+    side of the root that the exact sign at i shows.  It is returned as
+    (lo, hi, den 2^t, value at lo, value at hi) when the exact signs at
+    its ends are s and -s; 0 when a sign checked is 0, otherwise None."""
+    if qden < 0:
+        num, qden = -num, -qden
+    i = min(max(num // qden, 0), 1 << t)
+    base, dt = a << t, den << t
+    vi = _value(coeffs, base + i * w, dt)
+    j = i + 1 if (vi > 0) == (s > 0) else i - 1
+    vj = _value(coeffs, base + j * w, dt) if vi else 0
+    if not vj:
+        return 0
+    if (vi > 0) == (vj > 0):
+        return None
+    if i > j:
+        i, j, vi, vj = j, i, vj, vi
+    return base + i * w, base + j * w, dt, vi, vj
+
+
 class CertifiedRoot:
     """A real algebraic number: polynomial plus certified isolating interval.
 
@@ -402,11 +471,18 @@ class CertifiedRoot:
         (a 2^t + i (b - a)) / (den 2^t), 0 <= i <= 2^t.  k bisections end
         in the cell of the level-k grid that holds the root, or at a grid
         point that is the root.  Jumps find that cell without the levels
-        in between.  Abbott's secant step on the exact end values
-        proposes the nearest grid point i at a level t <= k, and the exact
-        sign there picks the neighbour on the side of the root.  The cell is taken only when the exact signs at its
+        in between: a proposal names a grid point i at a level t <= k,
+        and the exact sign there picks the neighbour on the side of the
+        root (_cell).  The cell is taken only when the exact signs at its
         ends are _sign_lo and -_sign_lo: then it holds the root, and no
-        coarser midpoint is the root, so bisection reaches it too.  A
+        coarser midpoint is the root, so bisection reaches it too.
+
+        The first proposal may come from a float: on entry, a float root
+        (_float_root) names the point at level t = min(k, _FLOAT_BITS
+        less the bits already known), when that is deeper than the first
+        secant jump.  A float only proposes; if exact signs refuse its
+        cell, the descent goes on as if it had made none.  After that,
+        Abbott's secant step on the exact end values proposes, and a
         rejected proposal costs one bisection.  As in Abbott's quadratic
         interval refinement (2006) the secant jump doubles after a success
         and halves after a failure; it starts at about the bits already
@@ -422,38 +498,38 @@ class CertifiedRoot:
         # the secant misses by about w^2 f''/f', so a cell 2^-p wide, p bits
         # below the root's magnitude, gains about p less the degree's bits
         dbits = shift.bit_length()
-        step = max(2, max(abs(a), abs(b)).bit_length() - w.bit_length() - dbits) if k >= _JUMP_MIN else 0
+        step = 0
+        if k >= _JUMP_MIN:
+            known = max(abs(a), abs(b)).bit_length() - w.bit_length()
+            step = max(2, known - dbits)
+            t = min(k, _FLOAT_BITS - known)
+            r = _float_root(coeffs, Fraction(a, den), Fraction(b, den), s) if t > step else None
+            if r is not None and isfinite(r):
+                p, q = r.as_integer_ratio()
+                # the grid point nearest r: (r - a/den) den 2^t / w, rounded
+                cell = _cell(coeffs, s, a, w, den, t, ((p * den - q * a) << (t + 1)) + q * w,
+                             2 * q * w)
+                if cell:
+                    a, b, den, fa, fb = cell
+                    self._iv = (a, b, den)
+                    k -= t
+                    step = max(2 * step, max(abs(a), abs(b)).bit_length() - w.bit_length() - dbits)
         while k > 0:
-            t = 0
             if step >= 2 and k >= 2:
                 t = min(k, step)
                 if fa is None or fb is None:
                     fa, fb = _value(coeffs, a, den), _value(coeffs, b, den)
-                # the secant root a + w fa / (fa - fb)
-                num, qden = (fa << t) * 2 + fa - fb, 2 * (fa - fb)
-            elif step:
-                step = 2
-            if t:
-                if qden < 0:
-                    num, qden = -num, -qden
-                i = min(max(num // qden, 0), 1 << t)  # the nearest grid point
-                base, dt = a << t, den << t
-                vi = _value(coeffs, base + i * w, dt)
-                j = i + 1 if (vi > 0) == (s > 0) else i - 1
-                vj = _value(coeffs, base + j * w, dt) if vi else 0
-                if not vj:
-                    step = 0
-                elif (vi > 0) != (vj > 0):
-                    if i > j:
-                        i, j, vi, vj = j, i, vj, vi
-                    a, b, den = base + i * w, base + j * w, dt
+                # the grid point nearest the secant root a + w fa / (fa - fb)
+                cell = _cell(coeffs, s, a, w, den, t, (fa << t) * 2 + fa - fb, 2 * (fa - fb))
+                if cell:
+                    a, b, den, fa, fb = cell
                     self._iv = (a, b, den)
-                    fa, fb = vi, vj
                     k -= t
                     step = max(2 * step, max(abs(a), abs(b)).bit_length() - w.bit_length() - dbits)
                     continue
-                else:
-                    step //= 2
+                step = 0 if cell == 0 else step // 2
+            elif step:
+                step = 2
             # one bisection, keeping the end values
             mid = a + b
             vm = _value(coeffs, mid, 2 * den)

@@ -313,7 +313,7 @@ def doubling_prefix(bits: _BitsLike, n: int) -> BinaryWord:
     if n < 0:
         raise ValueError("length must be nonnegative")
     src = _coerce_bits(bits)
-    need = (n + 1) // 2
+    need = n // 2
     if len(src) < need:
         raise ValueError(f"need {need} input symbols for {n} output symbols")
     return BinaryWord._trusted((b"\1" + _pairs(src[:need]))[:n])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, nan
 
 import pytest
 
@@ -313,6 +313,23 @@ class TestFastPaths:
         poly = threshold_poly(1024)
         assert poly.sign_at(lo) * poly.sign_at(hi) < 0
 
+    def test_threshold_builds_with_five_exact_values(self, monkeypatch):
+        """Two end signs and the sign at lo when the root is made, and the
+        two ends of the cell a float root proposes: the secant jumps alone
+        take 15 or more."""
+        calls = []
+        value = algebraic._value
+
+        def counting(*args):
+            calls.append(args)
+            return value(*args)
+
+        monkeypatch.setattr(algebraic, "_value", counting)
+        for k in (*range(2, 257), 1024):
+            calls.clear()
+            threshold_beta(k, 2 ** -34)
+            assert len(calls) <= 5, (k, len(calls))
+
 
 class TestPointIntervals:
     """A root refined onto a bisection midpoint becomes a point interval;
@@ -421,6 +438,59 @@ class TestVerifiedJumps:
             (r1, ref1), (r2, ref2) = twins[1:]
             assert r1.compare(r2) == bisection_compare(ref1, ref2)
             assert _same_state(r1, ref1) and _same_state(r2, ref2)
+
+    @pytest.mark.parametrize("proposal", ["none", "nan", "above", "below", "one cell off"])
+    def test_wrong_float_proposals_match_bisection(self, monkeypatch, proposal):
+        """A float only proposes: when it proposes nothing, NaN, a point
+        outside the bracket or a point one cell of its level away from the
+        root, every interval is still the cell that bisection reaches."""
+        float_root, descend = algebraic._float_root, CertifiedRoot._descend
+        seen = {"proposals": 0}
+
+        def entering(self, iv, k, ends=(None, None)):
+            seen["iv"], seen["k"] = iv, k
+            return descend(self, iv, k, ends)
+
+        def wrong(coeffs, lo, hi, s_lo):
+            seen["proposals"] += 1
+            if proposal == "nan":
+                return nan
+            if proposal == "above":
+                return float(2 * hi - lo)
+            if proposal == "below":
+                return float(2 * lo - hi)
+            if proposal == "one cell off":
+                a, b, den = seen["iv"]
+                t = min(seen["k"], algebraic._FLOAT_BITS
+                        - (max(abs(a), abs(b)).bit_length() - (b - a).bit_length()))
+                return float_root(coeffs, lo, hi, s_lo) + float((hi - lo) / 2 ** t)
+            return None
+
+        monkeypatch.setattr(CertifiedRoot, "_descend", entering)
+        monkeypatch.setattr(algebraic, "_float_root", wrong)
+        for k in (*range(2, 41), 128, 256):
+            poly = threshold_poly(k)
+            for width in self.WIDTHS:
+                r, ref = _twins(poly, 1, 2)
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref), (k, width)
+        assert seen["proposals"] > 0
+
+    def test_roots_no_float_proposes(self):
+        """10^400 x - (10^400 + 1) has coefficients beyond float range, so
+        the float root declines; 2x - 3 has its root on the grid, where a
+        proposed cell's sign is 0, and still becomes a point interval."""
+        huge = IntPolynomial((-(10 ** 400) - 1, 10 ** 400))
+        assert algebraic._float_root(huge.coeffs, 1, 2, -1) is None
+        assert algebraic._float_root(GOLDEN.coeffs, 0, 2, -1) is None
+        for poly in (huge, IntPolynomial((-3, 2))):
+            for width in self.WIDTHS:
+                r, ref = _twins(poly, 1, 2)
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref), (poly, width)
+        assert r.interval == (Fraction(3, 2), Fraction(3, 2))
 
     @pytest.mark.parametrize("width", [1, Fraction(1, 2 ** 34), 1e-20])
     def test_equal_roots_of_different_polynomials(self, width):

@@ -558,6 +558,15 @@ class TestDoublingMap:
         with pytest.raises(ValueError, match="nonnegative"):
             doubling_prefix("01", -1)
 
+    def test_prefix_reads_only_the_symbols_it_needs(self):
+        """n output symbols take n // 2 input ones: the leading 1, then
+        one pair (b, 1 - b) per input symbol b."""
+        assert doubling_prefix("0", 3) == BinaryWord("101")
+        assert doubling_prefix("", 1) == BinaryWord("1")
+        assert doubling_prefix("1", 2) == BinaryWord("11")
+        with pytest.raises(ValueError, match="need 1 input symbols for 2 output"):
+            doubling_prefix("", 2)
+
     def test_period_doubles_when_period_ends_in_zero(self):
         rng = random.Random(SEED + 5)
         checked = 0

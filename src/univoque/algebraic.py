@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import UndecidedError
 
 _MAX_ISOLATE_DEPTH = 400
-_SEPARATION_LEVELS = 256   # compare takes its one gcd only past this many levels
+_SEPARATION_LEVELS = 256   # compare may wait this many levels for its gcd (less at a point)
 _JUMP_MIN = 4              # shorter descents only bisect (a chosen value, not measured)
 _FLOAT_BITS = 44           # a float root proposes cells at most this many bits below the root (of 53)
 _NEWTON_STEPS = 64         # a float root not settled within this many steps proposes nothing
@@ -306,11 +306,15 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
     return out
 
 
-def _ancestor(start: tuple[int, int, int], iv: tuple[int, int, int], depth: int,
+def _ancestor(start: tuple[int, int, int], iv: tuple[int, int, int],
               level: int) -> tuple[int, int, int]:
-    """The cell at `level` below start that holds iv, a cell `depth`
-    levels below start (on the grid of _descend)."""
+    """The cell at `level` below start that holds iv, a cell or point of
+    the grid of _descend below start; iv itself at its own level, which
+    the denominators give, and below (a point stays a point)."""
     a, b, den = start
+    depth = (iv[2] // den).bit_length() - 1
+    if level >= depth:
+        return iv
     w = b - a
     lo = (a << level) + ((iv[0] - (a << depth)) // w >> (depth - level)) * w
     return lo, lo + w, den << level
@@ -399,10 +403,15 @@ class CertifiedRoot:
     decision is integer arithmetic; a Fraction is built only on the way
     out.  refine and compare leave the interval in exactly the cell that
     bisection one level at a time reaches, but get there by verified
-    jumps over the bisection grid (_descend, _separate).  Each bisection
-    or jump replaces the whole tuple in one assignment with a cell of an
-    isolating interval of the root, so a concurrent reader always sees
-    an isolating interval of the same number, never a torn one.
+    jumps over the bisection grid (_descend, _separate).  compare runs
+    one gcd, whether other's polynomial vanishes at this root, and when
+    it does only this root descends.  The gcd runs at once, except for
+    roots of two different polynomials in [0, oo), other's with one sign
+    variation: then only after _SEPARATION_LEVELS levels or at the first
+    point interval.  Each bisection or jump replaces the whole tuple in
+    one assignment with a cell of an isolating interval of the root, so
+    a concurrent reader always sees an isolating interval of the same
+    number, never a torn one.
     """
 
     __slots__ = ("poly", "_sq", "_iv", "_sign_lo", "_float")
@@ -586,9 +595,10 @@ class CertifiedRoot:
         """Exact three-way comparison with another certified root.
 
         Disjoint intervals decide at once, by integer cross-multiplication.
-        Overlapping ones are separated by _separate, which leaves both
-        intervals where lockstep bisection would: at the first level at
-        which they are disjoint.
+        Overlapping ones go to _separate, which leaves both intervals where
+        bisection would: at the first level at which they are disjoint,
+        or at which this one, at a root of other's polynomial, is a point
+        or lies strictly inside other's.
         """
         if self is other:
             return 0
@@ -606,71 +616,54 @@ class CertifiedRoot:
 
     def _separate(self, other: "CertifiedRoot") -> int:
         """Compare two roots whose intervals overlap, leaving both where
-        the bisection loop (_bisect_compare) leaves them.
+        bisection one level at a time leaves them.  It bisects both until
+        their intervals are disjoint, or, when other's polynomial vanishes
+        at this root (shared, one gcd), this one alone until its interval
+        is a point, lies strictly inside other's or is disjoint from it.
+        Here they descend (_descend) in rounds that double after the first
+        _JUMP_MIN single levels, and are set to their ancestor cells at
+        the first level at which bisection stops.
 
-        That loop first tests whether other's polynomial vanishes at this
-        root (one gcd).  When both intervals lie in [0, oo) and other's
-        polynomial has one sign variation, its only positive root is
-        other's own, so for distinct roots the answer is no, and the loop
-        bisects both once per step until the intervals are disjoint.  The
-        same polynomial on both sides then means the same root, and the
-        loop's gcd of a polynomial with itself is cheap, so it runs at once.
-        Here both descend instead by the same number of levels
-        (_descend), in rounds that double after the first _JUMP_MIN
-        single levels, and both are set to their ancestor cells at the
-        first level at which those are disjoint.  The gcd runs only after
-        _SEPARATION_LEVELS levels without separation: distinct roots go
-        on in the loop from there, and equal ones restore both intervals
-        and run it from the start, as do other polynomials, point
-        intervals and a root that a midpoint hits.
+        The gcd is put off only when other's polynomial differs and has
+        one sign variation, and both intervals lie in [0, oo), not points:
+        then shared means equal roots, which never separate.  If the gcd
+        finds shared after _SEPARATION_LEVELS levels or at a point
+        interval, both intervals go back and this root descends alone.
         """
         saved = iv1, iv2 = self._iv, other._iv
-        ends1 = ends2 = (None, None)
-        equal = None
-        if (iv1[0] >= 0 and iv2[0] >= 0 and self._sq != other._sq
+        shared = None
+        if not (0 <= iv1[0] < iv1[1] and 0 <= iv2[0] < iv2[1] and self._sq != other._sq
                 and _sign_variations(other._sq.coeffs) == 1):
-            levels = 0
-            while iv1[0] < iv1[1] and iv2[0] < iv2[1]:
-                if levels >= _SEPARATION_LEVELS:
-                    equal = self.vanishes(other._sq)
-                    if not equal:
-                        return self._bisect_compare(other, False)
-                    break
-                step = levels if levels >= _JUMP_MIN else 1
-                start1, start2 = iv1, iv2
-                iv1, ends1 = self._descend(iv1, step, ends1)
-                iv2, ends2 = other._descend(iv2, step, ends2)
-                if iv1[0] == iv1[1] or iv2[0] == iv2[1]:
-                    break
-                for level in range(1, step + 1):
-                    lo1, hi1, e1 = cell1 = _ancestor(start1, iv1, step, level)
-                    lo2, hi2, e2 = cell2 = _ancestor(start2, iv2, step, level)
+            shared = self.vanishes(other._sq)
+        while True:
+            iv1, iv2 = start1, start2 = saved
+            ends1 = ends2 = (None, None)
+            step = levels = 0
+            low = 0 if shared else 1  # alone, the loop may stop before its first bisection
+            while True:
+                for level in range(low, step + 1):
+                    lo1, hi1, e1 = cell1 = _ancestor(start1, iv1, level)
+                    lo2, hi2, e2 = cell2 = _ancestor(start2, iv2, level)
                     side = -1 if hi1 * e2 < lo2 * e1 else 1 if hi2 * e1 < lo1 * e2 else 0
-                    if side:
+                    if side or shared and (lo1 == hi1
+                                           or lo2 * e1 < lo1 * e2 and hi1 * e2 < hi2 * e1):
                         self._iv, other._iv = cell1, cell2
                         return side
+                if shared is None and levels >= _SEPARATION_LEVELS:
+                    shared = self.vanishes(other._sq)
+                    if shared:
+                        break
+                step, low = levels if levels >= _JUMP_MIN else 1, 1
+                start1, start2 = iv1, iv2
+                iv1, ends1 = self._descend(iv1, step, ends1)
+                if not shared:
+                    iv2, ends2 = other._descend(iv2, step, ends2)
                 levels += step
+                if shared is None and (iv1[0] == iv1[1] or iv2[0] == iv2[1]):
+                    shared = self.vanishes(other._sq)
+                    if shared:
+                        break
             self._iv, other._iv = saved
-        return self._bisect_compare(other, equal)
-
-    def _bisect_compare(self, other: "CertifiedRoot", equal) -> int:
-        """Bisect until the intervals are disjoint; equality is proved
-        once, by whether other's polynomial vanishes at this root (equal
-        is None until then)."""
-        while True:
-            a1, b1, d1 = self._iv
-            a2, b2, d2 = other._iv
-            if b1 * d2 < a2 * d1:
-                return -1
-            if b2 * d1 < a1 * d2:
-                return 1
-            if equal is None:
-                equal = self.vanishes(other._sq)
-            if equal and (a1 == b1 or a2 * d1 < a1 * d2 and b1 * d2 < b2 * d1):
-                return 0
-            self._descend(self._iv, 1)
-            if not equal:
-                other._descend(other._iv, 1)
 
     def cmp_rational(self, x) -> int:
         """Sign of (root - x) for rational x = p/q: the sign of qX - p at the root."""

@@ -56,6 +56,8 @@ from .words import (  # noqa: F401  (Necklace, primitive_necklaces re-exported)
 
 # Largest period the membership search and the bisection oracle accept.
 PERIOD_LIMIT = 32
+# Largest n_max whose threshold pairs verify_ordering compares as roots.
+ORDER_LIMIT = 30
 
 
 def extremal_rotation(s: PeriodicSeq) -> PeriodicSeq:
@@ -169,8 +171,9 @@ def verify_ordering(n_max: int) -> dict:
     """
     if n_max < 2:
         raise PreconditionViolated("need n_max >= 2")
-    if n_max > 30:
-        raise TooLargeError("all-pairs verification capped at n_max = 30")
+    if n_max > ORDER_LIMIT:
+        raise TooLargeError(
+            f"all-pairs verification capped at n_max <= ORDER_LIMIT = {ORDER_LIMIT}")
     ks = list(range(2, n_max + 1))
     betas = {k: threshold_beta(k, 1e-9) for k in ks}
     violations = []

@@ -32,6 +32,39 @@ def _random_poly(rng, max_deg=6, max_coeff=9):
     return IntPolynomial(coeffs)
 
 
+def _count_values(monkeypatch) -> list:
+    """The arguments of every exact evaluation (algebraic._value) from
+    here until the patch is undone."""
+    calls = []
+    value = algebraic._value
+
+    def counting(*args):
+        calls.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(algebraic, "_value", counting)
+    return calls
+
+
+def _record_events(monkeypatch) -> list:
+    """The levels each CertifiedRoot._descend asks for, and "gcd" for each
+    CertifiedRoot.vanishes, in order, until the patches are undone."""
+    events = []
+    descend, vanishes = CertifiedRoot._descend, CertifiedRoot.vanishes
+
+    def descending(self, iv, k, ends=(None, None)):
+        events.append(k)
+        return descend(self, iv, k, ends)
+
+    def testing(self, r):
+        events.append("gcd")
+        return vanishes(self, r)
+
+    monkeypatch.setattr(CertifiedRoot, "_descend", descending)
+    monkeypatch.setattr(CertifiedRoot, "vanishes", testing)
+    return events
+
+
 class TestIntPolynomial:
     def test_normalization(self):
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
@@ -317,14 +350,7 @@ class TestFastPaths:
         """Two end signs and the sign at lo when the root is made, and the
         two ends of the cell a float root proposes: the secant jumps alone
         take 15 or more."""
-        calls = []
-        value = algebraic._value
-
-        def counting(*args):
-            calls.append(args)
-            return value(*args)
-
-        monkeypatch.setattr(algebraic, "_value", counting)
+        calls = _count_values(monkeypatch)
         for k in (*range(2, 257), 1024):
             calls.clear()
             threshold_beta(k, 2 ** -34)
@@ -505,25 +531,36 @@ class TestVerifiedJumps:
             assert _same_state(r1, ref1) and _same_state(r2, ref2)
 
     def test_same_polynomial_goes_straight_to_the_loop(self, monkeypatch):
-        """Two roots of one threshold polynomial are equal, so compare
-        bisects one level at a time, as the loop does, instead of
-        descending to the separation cap first."""
-        levels = []
-        descend = CertifiedRoot._descend
-
-        def counting(self, iv, k, ends=(None, None)):
-            levels.append(k)
-            return descend(self, iv, k, ends)
-
+        """Two roots of one threshold polynomial are equal, so compare runs
+        the gcd before any descent and then descends the first root alone,
+        as the reference loop bisects it alone, instead of descending both
+        to the separation cap first."""
         for k in (8, 64, 256):
-            r1, r2 = threshold_beta(k, 1e-8).root, threshold_beta(k, 1e-9).root
-            ref1, ref2 = threshold_beta(k, 1e-8).root, threshold_beta(k, 1e-9).root
-            monkeypatch.setattr(CertifiedRoot, "_descend", counting)
-            assert r1.compare(r2) == 0
-            monkeypatch.undo()
-            assert bisection_compare(ref1, ref2) == 0
-            assert _same_state(r1, ref1) and _same_state(r2, ref2)
-        assert set(levels) == {1}
+            for widths in ((1e-8, 1e-9), (1e-8, 1e-30), (1e-30, 1e-8)):
+                r1, r2, ref1, ref2 = (threshold_beta(k, w).root for w in widths + widths)
+                events, calls = _record_events(monkeypatch), _count_values(monkeypatch)
+                assert r1.compare(r2) == 0
+                monkeypatch.undo()
+                assert bisection_compare(ref1, ref2) == 0
+                assert _same_state(r1, ref1) and _same_state(r2, ref2), (k, widths)
+                assert events[0] == "gcd" and events.count("gcd") == 1, (k, widths)
+                assert algebraic._SEPARATION_LEVELS not in events, (k, widths)
+                if widths == (1e-8, 1e-30):
+                    # one level at a time, as before, took 77-82
+                    assert len(calls) <= 20, (k, len(calls))
+
+    def test_point_interval_runs_the_gcd_at_once(self, monkeypatch):
+        """3/2 is a root of both polynomials, and the first bisection hits
+        it: the gcd runs right after that round, not 256 levels later, and
+        the first root then descends alone."""
+        both = IntPolynomial([-3, 2]) * IntPolynomial([5, 1])  # one sign variation
+        (r1, ref1), (r2, ref2) = _twins(IntPolynomial([-3, 2]), 1, 2), _twins(both, 1, 2)
+        events = _record_events(monkeypatch)
+        assert r1.compare(r2) == 0
+        monkeypatch.undo()
+        assert events == [1, 1, "gcd", 1]
+        assert bisection_compare(ref1, ref2) == 0
+        assert _same_state(r1, ref1) and _same_state(r2, ref2)
 
     def test_midpoint_hit_during_a_descent(self):
         """1 + 2^-20 becomes a point interval at level 20, inside a round
@@ -557,6 +594,18 @@ class TestVerifiedJumps:
         assert r1.compare(r2) == bisection_compare(ref1, ref2) == -1
         assert _same_state(r1, ref1) and _same_state(r2, ref2)
         assert r1._iv[2] > 2 ** algebraic._SEPARATION_LEVELS
+
+    def test_roots_past_the_separation_cap_go_on_by_jumps(self, monkeypatch):
+        """Past the cap, distinct roots go on descending in doubling
+        rounds: one level at a time from there took 1,735 exact values."""
+        near = IntPolynomial([-(4 * 2 ** 1100 + 1), 3 * 2 ** 1100])
+        (r1, ref1), (r2, ref2) = _twins(IntPolynomial([-4, 3]), 1, 2), _twins(near, 1, 2)
+        calls = _count_values(monkeypatch)
+        assert r1.compare(r2) == -1
+        assert len(calls) <= 100, len(calls)
+        monkeypatch.undo()
+        assert bisection_compare(ref1, ref2) == -1
+        assert _same_state(r1, ref1) and _same_state(r2, ref2)
 
     def test_verify_ordering_matches_bisection(self, monkeypatch):
         report = oracle.verify_ordering(30)

@@ -419,6 +419,8 @@ class _WorkStarted(Exception):
      "scan capped at steps <= SCAN_LIMIT = 100"),
     (["verify-lemmas", "--cases"], cli.CASES_LIMIT,
      "lemma checks capped at cases <= CASES_LIMIT = 10000"),
+    (["verify-order"], cli.oracle.ORDER_LIMIT,
+     "all-pairs verification capped at n_max <= ORDER_LIMIT = 30"),
 ])
 def test_counts_past_their_cap_fail_before_any_work(capsys, monkeypatch, argv, limit, message):
     def started(*args, **kwargs):
@@ -426,6 +428,7 @@ def test_counts_past_their_cap_fail_before_any_work(capsys, monkeypatch, argv, l
 
     monkeypatch.setattr(cli, "as_beta", started)
     monkeypatch.setattr(cli.thresholds, "threshold_beta", started)
+    monkeypatch.setattr(cli.oracle, "threshold_beta", started)
     monkeypatch.setattr(cli.oracle, "lemma_report", started)
     with pytest.raises(_WorkStarted):  # the cap itself is allowed
         main(argv + [str(limit)])

@@ -214,10 +214,11 @@ def kl_bracket(eps) -> tuple[Fraction, Fraction]:
 
 
 def komornik_loreti(eps: float = 1e-5) -> FloatBeta:
-    """The Komornik-Loreti constant as a float base with a certified bracket."""
+    """The Komornik-Loreti constant as a float base: the midpoint of
+    kl_bracket(eps), which is the certified bracket.  The base keeps the
+    default tolerance, a band on orbit points, not the bracket's width."""
     lo, hi = kl_bracket(eps)
-    mid = float((lo + hi) / 2)
-    return FloatBeta(mid, tolerance=max(float(hi - lo) / 2, 1e-17))
+    return FloatBeta(float((lo + hi) / 2))
 
 
 def below_komornik_loreti(k: int) -> bool:

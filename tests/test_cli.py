@@ -204,9 +204,21 @@ class TestVerification:
         assert [c["n"] for c in data["chain"]] == [2, 4, 6, 5, 3]
 
     def test_verify_lemmas(self, capsys):
-        code, out, _ = run(capsys, "verify-lemmas", "--seed", "3", "--cases", "40")
+        code, out, _ = run(capsys, "verify-lemmas")
         data = json.loads(out)
         assert code == 0 and data["ok"] is True
+
+    @pytest.mark.parametrize("option", ["--seed", "--cases"])
+    def test_verify_lemmas_takes_no_options(self, capsys, monkeypatch, option):
+        def unreachable():
+            raise AssertionError("a lemma check ran")
+
+        monkeypatch.setattr(cli.oracle, "lemma_report", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lemmas", option, "7"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (1, "")
+        assert out.err.endswith(f"error: unrecognized arguments: {option} 7\n")
 
     def test_conjecture_scan_runs(self, capsys):
         code, out, _ = run(capsys, "conjecture-2n", "--n", "1", "--steps", "3",
@@ -395,8 +407,9 @@ def test_malformed_text_is_named(capsys, argv, message):
 @pytest.mark.parametrize("argv, condition", [
     (["orbit", "--beta", "float:1.8", "--x", "0.3", "--steps", "-1"], "steps must be >= 0"),
     (["conjecture-2n", "--steps", "-3"], "steps must be >= 0"),
-    (["verify-lemmas", "--cases", "0"], "cases must be >= 1"),
-    (["verify-lemmas", "--cases", "-1"], "cases must be >= 1"),
+    (["expand", "--beta", "float:1.8", "--x", "0.3", "--digits", "-1"],
+     "digit count must be nonnegative"),
+    (["lr-cycles", "--beta", "float:1.8", "--n", "0"], "cycle length must be positive"),
     (["conjecture-2n", "--n", "0"], "n must be >= 1"),
     (["conjecture-2n", "--n", "-1"], "n must be >= 1"),
 ])
@@ -417,8 +430,7 @@ class _WorkStarted(Exception):
      "orbit capped at steps <= STEPS_LIMIT = 100000"),
     (["conjecture-2n", "--n", "1", "--steps"], cli.SCAN_LIMIT,
      "scan capped at steps <= SCAN_LIMIT = 100"),
-    (["verify-lemmas", "--cases"], cli.CASES_LIMIT,
-     "lemma checks capped at cases <= CASES_LIMIT = 10000"),
+    (["table"], cli.TABLE_LIMIT, "table capped at n_max <= TABLE_LIMIT = 256"),
     (["verify-order"], cli.oracle.ORDER_LIMIT,
      "all-pairs verification capped at n_max <= ORDER_LIMIT = 30"),
 ])
@@ -429,7 +441,6 @@ def test_counts_past_their_cap_fail_before_any_work(capsys, monkeypatch, argv, l
     monkeypatch.setattr(cli, "as_beta", started)
     monkeypatch.setattr(cli.thresholds, "threshold_beta", started)
     monkeypatch.setattr(cli.oracle, "threshold_beta", started)
-    monkeypatch.setattr(cli.oracle, "lemma_report", started)
     with pytest.raises(_WorkStarted):  # the cap itself is allowed
         main(argv + [str(limit)])
     for count in (limit + 1, 10 ** 15):

@@ -2,6 +2,8 @@
 src/univoque is from the standard library or from univoque itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +25,14 @@ def test_imports_are_stdlib_or_univoque():
                 continue
             outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_cli_import_loads_no_random():
+    """No module of the package draws random numbers, so importing the
+    command line loads no `random`.  -S keeps site hooks out of the
+    interpreter, so only the package's own import graph counts."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, univoque.cli; print('random' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -341,10 +341,27 @@ class TestVerifyOrdering:
             verify_ordering(1)
 
 
-def test_lemma_report_is_clean_and_seeded():
-    rep1 = lemma_report(seed=11, cases=120)
-    rep2 = lemma_report(seed=11, cases=120)
-    assert rep1 == rep2
-    assert rep1["ok"] is True
-    assert set(rep1["checks"]) == {"lex-total-order", "doubling-monotone",
-                                   "encode-order-isomorphism", "greedy-monotonicity"}
+def test_lemma_report_is_clean_and_exhaustive():
+    report = lemma_report()
+    assert report == lemma_report()
+    assert report["ok"] is True
+    assert {name: (check["cases"], check["failures"])
+            for name, check in report["checks"].items()} == {
+        "lex-total-order": (232 ** 2, 0), "doubling-monotone": (472 - 1, 0),
+        "encode-order-isomorphism": (2 * 1966 - 1, 0), "greedy-monotonicity": (224 - 1, 0)}
+
+
+@pytest.mark.parametrize("check, name, broken", [
+    ("lex-total-order", "lex_cmp", lambda a, b: 0),
+    ("doubling-monotone", "doubling_map", lambda s: s),
+    ("encode-order-isomorphism", "unimodal_cmp",
+     lambda a, b, cmp=oracle.unimodal_cmp: -cmp(a, b)),
+    ("greedy-monotonicity", "is_parry_admissible", lambda s: True),
+])
+def test_lemma_report_fails_on_a_broken_lemma(monkeypatch, check, name, broken):
+    """Each check can fail: with the function it relies on broken, it
+    counts failures and the report is not ok."""
+    monkeypatch.setattr(oracle, name, broken)
+    report = lemma_report()
+    assert report["checks"][check]["failures"] > 0
+    assert report["ok"] is False

@@ -295,15 +295,15 @@ class GreedyExpansion:
         return BinaryWord._trusted(bytes(self._digits[:n]))
 
     def _certify(self, n: int) -> None:
-        """Extend to n digits, or up to the first undecidable one.  Once
-        a digit has failed, later calls do not step again: the orbit
-        state is unchanged, so the step would fail the same way."""
-        with self._lock:
-            if self._failed is None:
-                try:
-                    self._extend_to(n)
-                except UndecidableDigitError as exc:
-                    self._failed = str(exc)
+        """Extend to n digits, or up to the first undecidable one; the
+        caller holds the lock.  Once a digit has failed, later calls do
+        not step again: the orbit state is unchanged, so the step would
+        fail the same way."""
+        if self._failed is None:
+            try:
+                self._orbit.extend(self._digits, n)
+            except UndecidableDigitError as exc:
+                self._failed = str(exc)
 
     def _certified_prefix(self, n: int) -> bytes:
         """Up to n digits, ending before the first undecidable one."""
@@ -575,8 +575,14 @@ def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
     past the symbols read ties with both.  admits reads the first n
     shifts in order and fails at the first one not strictly inside, so
     a prefix is cut once that shift lies strictly outside: every word
-    below it fails without raising.  The search runs in one frame, so
-    it holds no closure that refers to itself (see oracle)."""
+    below it fails without raising.  The cut test is one compare,
+    outside <= ties with top | ties with low: a shift leaves a tie
+    outside only at a position where top and low differ (top starts
+    with 1, the first digit of 1), so it ties with neither from then
+    on, the masks share no bit, and the larger holds the oldest shift.
+    The search runs in one frame, so it holds no closure that refers to
+    itself (see oracle); the current node's state stays in locals while
+    it descends, and a backtrack reads it back from `states`."""
     top = bound.top
     ones = sum(map(lshift, top, range(n)))  # the 1s of top below n
     ones, zeros = ones | -1 << len(top), ~ones
@@ -584,34 +590,37 @@ def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
     # before symbol t: p, the tested symbol t - 1 (parity), the ties with
     # top and with low and the shifts strictly outside
     states = [(1, 0, 0, 0, 0)] * n
+    p, r, tops, lows, out = states[0]
     t, c = 0, 1
-    while t >= 0:
-        p, r, tops, lows, out = states[t]
+    while True:
         word[t] = c
         q = p if c == word[t - p] else t + 1
         if q == n or t + 1 < n and word[0]:  # else a power of a shorter word
             e = r ^ c if decode else c  # tested symbol t
-            tops, lows = tops << 1 | 1, lows << 1 | 1  # shift t starts
+            tt, ll = tops << 1 | 1, lows << 1 | 1  # shift t starts
             # a 1 leaving top lies above it, a 0 leaving low below it; low
             # is the mirror of top, so a 1 ties on with top at its 1s and
             # with low at its 0s, and a 0 the other way round
             if e:
-                tops_e, lows_e = tops & ones, lows & zeros
-                out = out << 1 | (tops ^ tops_e)
+                tops_e, lows_e = tt & ones, ll & zeros
+                out_e = out << 1 | (tt ^ tops_e)
             else:
-                tops_e, lows_e = tops & zeros, lows & ones
-                out = out << 1 | (lows ^ lows_e)
+                tops_e, lows_e = tt & zeros, ll & ones
+                out_e = out << 1 | (ll ^ lows_e)
             # unless the oldest shift not strictly inside lies outside
-            if out.bit_length() <= (tops_e | lows_e).bit_length():
+            if out_e <= tops_e | lows_e:
                 if t + 1 < n:
                     t += 1
-                    states[t] = q, e, tops_e, lows_e, out
+                    p, r, tops, lows, out = states[t] = q, e, tops_e, lows_e, out_e
                     c = word[t - q]
                     continue
                 yield bytes(word[:n])
         # the next prefix: the last 1 becomes a 0
-        while t >= 0 and not word[t]:
+        while not word[t]:
             t -= 1
+            if t < 0:
+                return
+        p, r, tops, lows, out = states[t]
         c = 0
 
 

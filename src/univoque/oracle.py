@@ -54,6 +54,7 @@ from .words import (  # noqa: F401  (Necklace, primitive_necklaces re-exported)
     Necklace,
     PeriodicSeq,
     _MIRROR,
+    _period,
     doubling_map,
     lex_cmp,
     primitive_necklaces,
@@ -96,6 +97,7 @@ def exists_period_n_unique(beta, n: int,
     `undecided`, the one error `admits` raises.
     """
     beta = as_beta(beta)
+    n = _period(n)
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > PERIOD_LIMIT:
@@ -129,6 +131,7 @@ def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
     it at 8 points and warns on any anomaly rather than trusting
     silently.
     """
+    n = _period(n)
     if n < 2:
         raise PreconditionViolated("periods start at 2")
     if n > PERIOD_LIMIT:

@@ -63,6 +63,7 @@ from .words import (
     NECKLACE_LIMIT,
     PeriodicSeq,
     _EventuallyPeriodic,
+    _period,
 )
 
 BOUNDARY_TOL = 1e-10
@@ -277,6 +278,7 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
         beta = params.beta
     else:
         beta = as_beta(params)  # no map geometry, so no float of the base
+    n = _period(n)
     if n < 1:
         raise PreconditionViolated("cycle length must be positive")
     if n > NECKLACE_LIMIT:

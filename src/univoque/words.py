@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import PreconditionViolated, TooLargeError
@@ -369,32 +370,60 @@ class Necklace:
     period: int
 
 
+def _period(n) -> int:
+    """A period as an int: a whole number, read with operator.index, so
+    True reads as 1 and a float is refused."""
+    try:
+        return index(n)
+    except TypeError:
+        raise PreconditionViolated(f"period must be a whole number, got {n!r}") from None
+
+
 def primitive_necklaces(n: int) -> list[Necklace]:
     """The largest rotation of each primitive period-n word class, in
-    ascending order."""
-    return [Necklace(BinaryWord._trusted(w), n) for w in _necklace_words(n)][::-1]
+    ascending order: the words of _necklace_words read backwards, each
+    built the trusted way (object.__new__ and the slot descriptors, as
+    BinaryWord._trusted), without the dataclass __init__ per necklace."""
+    n = _period(n)
+    words = _necklace_words(n)
+    new = object.__new__
+    # the slot descriptors' setters: the frozen __setattr__ refuses a store
+    set_rep, set_period = Necklace.representative.__set__, Necklace.period.__set__
+    out = []
+    append = out.append
+    for w in reversed(words):
+        rep = new(BinaryWord)
+        rep._bits = w
+        neck = new(Necklace)
+        set_rep(neck, rep)
+        set_period(neck, n)
+        append(neck)
+    return out
 
 
-def _necklace_words(n: int) -> Iterator[bytes]:
+def _necklace_words(n: int) -> list[bytes]:
     """The symbols of the words of primitive_necklaces(n), largest first.
 
     Duval's algorithm over the reversed alphabet (1 before 0) yields
-    exactly these words: decrement the last symbol, extend periodically
-    to length n, and drop trailing 0s.  The limits are checked at the
-    first step.
+    exactly these words, in whole-word steps from the word 1: a word of
+    length n is one of them, and a shorter one is first extended
+    periodically to length n (one repeat and slice); then the word is
+    cut at its last 1 (rfind), which turns into a 0, and the walk ends
+    when no 1 is left.  The limits are checked first.
     """
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > NECKLACE_LIMIT:
         raise TooLargeError(
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
-    w = bytearray([2])
+    out = []
+    w = b"\1"
     while w:
-        w[-1] -= 1
         m = len(w)
         if m == n:
-            yield bytes(w)
-        while len(w) < n:
-            w.append(w[len(w) - m])
-        while w and w[-1] == 0:
-            w.pop()
+            out.append(w)
+        else:
+            w = (w * (n // m + 1))[:n]
+        i = w.rfind(1)
+        w = w[:i] + b"\0" if i >= 0 else b""
+    return out

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import types
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from univoque.errors import (
     UndecidableDigitError,
     UndecidedError,
 )
-from univoque.expansions import BetaValue, FloatBeta, d_of_beta, is_unique_expansion
+from univoque.expansions import (BetaValue, FloatBeta, _pruned_necklaces, d_of_beta,
+                                 is_unique_expansion)
 from univoque.oracle import (
     Necklace,
     exists_period_n_unique,
@@ -99,6 +101,45 @@ class TestNecklaces:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             primitive_necklaces(25)
+
+
+class TestNecklaceWalkers:
+    def test_uncut_search_yields_every_necklace(self):
+        # a stand-in bound with an empty prefix ties every shift with both
+        # sides, so no cut fires and the pruned search walks all necklaces
+        uncut = types.SimpleNamespace(top=b"")
+        for n in range(1, 13):
+            want = [neck.representative._bits for neck in reversed(primitive_necklaces(n))]
+            for decode in (False, True):
+                assert list(_pruned_necklaces(uncut, n, decode)) == want, (n, decode)
+
+    def test_counts_and_trusted_necklaces_at_large_periods(self):
+        for n in range(17, 21):
+            got = primitive_necklaces(n)
+            assert len(got) == _necklace_count(n), n
+        reps = [neck.representative._bits for neck in got]
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        for neck in primitive_necklaces(17):
+            plain = Necklace(BinaryWord(neck.representative.bits), 17)
+            assert neck == plain and hash(neck) == hash(plain)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                neck.representative = plain.representative
+
+    @pytest.mark.parametrize("n", [3.0, "3", None])
+    def test_periods_must_be_whole_numbers(self, n):
+        calls = (lambda: primitive_necklaces(n),
+                 lambda: exists_period_n_unique(FloatBeta(1.9), n),
+                 lambda: find_lr_cycles(FloatBeta(1.9), n),
+                 lambda: min_beta_for_period(n))
+        for call in calls:
+            with pytest.raises(PreconditionViolated, match=f"got {n!r}"):
+                call()
+
+    def test_a_bool_period_reads_as_an_int(self):
+        necks = primitive_necklaces(True)
+        assert [(str(neck.representative), neck.period) for neck in necks] == [("0", 1), ("1", 1)]
+        assert all(type(neck.period) is int for neck in necks)
+        assert exists_period_n_unique(FloatBeta(1.9), True) is False
 
 
 class TestExistence:

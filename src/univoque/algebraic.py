@@ -7,17 +7,26 @@ with exact endpoint signs reaches; a secant step or a float root may
 propose a cell of the bisection grid, which is taken only when the exact
 signs at its ends show that it holds the root.  Floats never decide
 anything: a float may propose a cell, but only exact signs take it.
-Otherwise floats appear only when a caller asks for an approximate value
-of an already-certified root.
+Each root computes its Newton float at most once and keeps it for every
+later descent, since it only ever proposes.  Otherwise floats appear
+only when a caller asks for an approximate value of an already-certified
+root.
+
+Coefficients are checked once, where they enter: the public IntPolynomial
+constructor reads each with operator.index and refuses anything that is
+not a whole number.  Every polynomial built inside the package, from
+coefficients that are already ints, takes IntPolynomial._trusted, which
+only strips trailing zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
+from operator import index
 from typing import Iterable, Sequence
 
-from .errors import UndecidedError
+from .errors import PreconditionViolated, UndecidedError
 
 _MAX_ISOLATE_DEPTH = 400
 _SEPARATION_LEVELS = 256   # compare may wait this many levels for its gcd (less at a point)
@@ -25,13 +34,16 @@ _JUMP_MIN = 4              # shorter descents only bisect (a chosen value, not m
 _FLOAT_BITS = 44           # a float root proposes cells at most this many bits below the root (of 53)
 _NEWTON_STEPS = 64         # a float root not settled within this many steps proposes nothing
 _NEWTON_TOL = 2.0 ** -(_FLOAT_BITS + 3)  # a Newton step this small (relative) settles it
+_UNSET = object()          # a root's Newton float before it is first computed
 
 
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """The coefficients as a tuple without trailing zeros; (0,) for none."""
+    c = tuple(coeffs)
+    n = len(c)
+    while n > 1 and not c[n - 1]:
+        n -= 1
+    return c[:n] if n < len(c) else c or (0,)
 
 
 def _value(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -63,10 +75,21 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        c = tuple(int(x) for x in coeffs)
-        if not c:
-            c = (0,)
-        object.__setattr__(self, "_coeffs", _strip(c))
+        c = []
+        for x in coeffs:
+            try:
+                c.append(index(x))
+            except TypeError:
+                raise PreconditionViolated(
+                    f"coefficient must be a whole number, got {x!r}") from None
+        self._coeffs = _strip(c)
+
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "IntPolynomial":
+        """A polynomial on coefficients already known to be ints."""
+        p = object.__new__(cls)
+        p._coeffs = _strip(coeffs)
+        return p
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -93,8 +116,8 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         if self.degree == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self._coeffs))[1:])
+            return IntPolynomial._trusted((0,))
+        return IntPolynomial._trusted([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self._coeffs, other._coeffs
@@ -103,7 +126,7 @@ class IntPolynomial:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return IntPolynomial._trusted(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPolynomial):
@@ -124,7 +147,7 @@ class IntPolynomial:
         quo = _exact_quotient(self._coeffs, other._coeffs)
         if quo is None:
             raise ValueError("not an exact division with integer quotient")
-        return IntPolynomial(quo)
+        return IntPolynomial._trusted(quo)
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -180,7 +203,7 @@ def _content(coeffs: Sequence[int]) -> int:
 
 def _primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
     c = _strip(coeffs)
-    if c == (0,):
+    if c == (0,) or c[-1] == 1:  # a leading 1 leaves content 1
         return c
     g = _content(c)
     if c[-1] < 0:
@@ -210,23 +233,23 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     A = _primitive(a.coeffs)
     B = _primitive(b.coeffs)
     if A == (0,):
-        return IntPolynomial(B)
+        return IntPolynomial._trusted(B)
     if B == (0,):
-        return IntPolynomial(A)
+        return IntPolynomial._trusted(A)
     if len(A) < len(B):
         A, B = B, A
     while B != (0,):
         R = _primitive(_pseudo_rem(A, B))
         A, B = B, R
-    return IntPolynomial(A)
+    return IntPolynomial._trusted(A)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p with repeated factors collapsed; same root set, all roots simple."""
     if p.degree <= 1:
-        return IntPolynomial(_primitive(p.coeffs))
+        return IntPolynomial._trusted(_primitive(p.coeffs))
     # the gcd is primitive, so by Gauss's lemma the quotient is integral
-    return IntPolynomial(_primitive(p.exact_div(poly_gcd(p, p.derivative())).coeffs))
+    return IntPolynomial._trusted(_primitive(p.exact_div(poly_gcd(p, p.derivative())).coeffs))
 
 
 def _sign_variations(coeffs: Sequence[int]) -> int:
@@ -298,7 +321,7 @@ def isolate_roots(p: IntPolynomial, lo: Fraction, hi: Fraction):
         if p.sign_at(m) == 0:
             out.append((m, m))
             found.add(m)
-            p = p.exact_div(IntPolynomial((-m.numerator, m.denominator)))
+            p = p.exact_div(IntPolynomial._trusted((-m.numerator, m.denominator)))
             # after deflation the endpoints stay nonzero for the reduced poly
         stack.append((a, m, depth + 1))
         stack.append((m, b, depth + 1))
@@ -337,7 +360,7 @@ def _float_root(coeffs: Sequence[int], lo, hi, s_lo: int):
     if lo <= 0:
         return None
     try:
-        c = [float(x) for x in coeffs]
+        c = list(map(float, coeffs))
         ylo, yhi = 1 / float(hi), 1 / float(lo)
     except OverflowError:
         return None
@@ -412,9 +435,15 @@ class CertifiedRoot:
     one assignment with a cell of an isolating interval of the root, so
     a concurrent reader always sees an isolating interval of the same
     number, never a torn one.
+
+    `_newton` keeps the Newton float root (_float_root) once the first
+    long descent has computed it, _UNSET before: every later descent,
+    and the copy that float() refines, reuses it.  It only proposes a
+    cell, which exact signs take or refuse, so keeping it changes no
+    interval.  `_float` is float()'s answer, kept likewise.
     """
 
-    __slots__ = ("poly", "_sq", "_iv", "_sign_lo", "_float")
+    __slots__ = ("poly", "_sq", "_iv", "_sign_lo", "_newton", "_float")
 
     def __init__(self, poly: IntPolynomial, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -423,13 +452,15 @@ class CertifiedRoot:
         if poly.is_zero:
             raise ValueError("the zero polynomial isolates no root")
         self.poly = poly
+        self._newton = _UNSET
         self._float = None
         if lo == hi:
             self._sq = squarefree_part(poly)
             if self._sq.sign_at(lo) != 0:
                 raise ValueError("point interval is not a root")
+            s_lo = 0
         else:
-            sq = IntPolynomial(_primitive(poly.coeffs))
+            sq = IntPolynomial._trusted(_primitive(poly.coeffs))
             s_lo, s_hi = sq.sign_at(lo), sq.sign_at(hi)
             if s_lo and s_hi and (lo >= 0 and s_lo != s_hi and _sign_variations(sq.coeffs) == 1
                                   or _descartes_bound(sq, lo, hi) == 1):
@@ -446,10 +477,11 @@ class CertifiedRoot:
                     raise ValueError(f"expected exactly one root in ({lo}, {hi}), "
                                      f"found {len(ivals)}")
                 lo, hi = ivals[0]
+                s_lo = self._sq.sign_at(lo)
         den = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
         self._iv = (a, b, den)
-        self._sign_lo = _sign(self._sq.coeffs, a, den)
+        self._sign_lo = s_lo
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
@@ -489,10 +521,12 @@ class CertifiedRoot:
         The first proposal may come from a float: on entry, a float root
         (_float_root) names the point at level t = min(k, _FLOAT_BITS
         less the bits already known), when that is deeper than the first
-        secant jump.  A float only proposes; if exact signs refuse its
-        cell, the descent goes on as if it had made none.  After that,
-        Abbott's secant step on the exact end values proposes, and a
-        rejected proposal costs one bisection.  As in Abbott's quadratic
+        secant jump.  The root computes that float on the first such
+        entry and keeps it in `_newton` for every later one.  A float only
+        proposes; if exact signs refuse its cell, the descent goes on as
+        if it had made none.  After that, Abbott's secant step on the
+        exact end values proposes, and a rejected proposal costs one
+        bisection.  As in Abbott's quadratic
         interval refinement (2006) the secant jump doubles after a success
         and halves after a failure; it starts at about the bits already
         known.  A zero sign hands the rest to plain bisection.
@@ -512,7 +546,15 @@ class CertifiedRoot:
             known = max(abs(a), abs(b)).bit_length() - w.bit_length()
             step = max(2, known - dbits)
             t = min(k, _FLOAT_BITS - known)
-            r = _float_root(coeffs, Fraction(a, den), Fraction(b, den), s) if t > step else None
+            r = None
+            if t > step:
+                r = self._newton
+                if r is _UNSET:
+                    try:  # float ends, without building Fractions
+                        r = _float_root(coeffs, a / den, b / den, s)
+                    except OverflowError:  # an end that does not fit a float
+                        r = None
+                    self._newton = r
             if r is not None and isfinite(r):
                 p, q = r.as_integer_ratio()
                 # the grid point nearest r: (r - a/den) den 2^t / w, rounded
@@ -668,7 +710,7 @@ class CertifiedRoot:
     def cmp_rational(self, x) -> int:
         """Sign of (root - x) for rational x = p/q: the sign of qX - p at the root."""
         x = Fraction(x)
-        return self.sign_at_root(IntPolynomial((-x.numerator, x.denominator)))
+        return self.sign_at_root(IntPolynomial._trusted((-x.numerator, x.denominator)))
 
     def __float__(self) -> float:
         """The midpoint of the cell that refine(2^-60) reaches from the
@@ -677,7 +719,9 @@ class CertifiedRoot:
         if self._float is None:
             copy = CertifiedRoot.__new__(CertifiedRoot)
             copy._sq, copy._iv, copy._sign_lo = self._sq, self._iv, self._sign_lo
+            copy._newton = self._newton
             a, b, den = copy.refine(Fraction(1, 2 ** 60))._iv
+            self._newton = copy._newton
             self._float = float(Fraction(a + b, 2 * den))
         return self._float
 
@@ -685,10 +729,21 @@ class CertifiedRoot:
 def _interval_eval(p: IntPolynomial, lo: int, hi: int, den: int):
     """Exact enclosure of p(x) * den^deg over x in [lo/den, hi/den], den > 0,
     by interval Horner on integers.  It is the rational interval Horner
-    enclosure of p scaled by den^deg, so it decides the same signs."""
+    enclosure of p scaled by den^deg, so it decides the same signs.
+
+    With lo >= 0 the extremes of [vlo, vhi] * [lo, hi] are known by sign,
+    two products instead of the min and max of four: vlo times lo when
+    vlo >= 0, else times hi; vhi times hi when vhi >= 0, else times lo."""
     coeffs = p.coeffs
     vlo = vhi = coeffs[-1]
     dpow = 1
+    if lo >= 0:
+        for c in reversed(coeffs[:-1]):
+            dpow *= den
+            cd = c * dpow
+            vlo = vlo * (lo if vlo >= 0 else hi) + cd
+            vhi = vhi * (hi if vhi >= 0 else lo) + cd
+        return vlo, vhi
     for c in reversed(coeffs[:-1]):
         dpow *= den
         prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)

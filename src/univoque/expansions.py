@@ -230,7 +230,7 @@ class _AlgebraicOrbit:
                 den //= lead
                 k -= 1
             v = [u[0] - den, *u[1:]]  # b*t - 1, reduced too: k > 0 makes L divide den
-            s = sign(IntPolynomial(v))
+            s = sign(IntPolynomial._trusted(v))
             append(int(s >= 0))
             i += 1
             # at 0 (a reducible `_sq` can leave a nonzero remainder there)
@@ -421,7 +421,7 @@ def _base_poly(s: PeriodicSeq) -> IntPolynomial:
         coeffs[p] = 1
         for i, a in enumerate(pre, 1):
             coeffs[p - i] -= a
-        return IntPolynomial(coeffs)
+        return IntPolynomial._trusted(coeffs)
     coeffs = [0] * (p + q + 1)
     coeffs[p + q] = 1
     coeffs[p] -= 1
@@ -430,7 +430,7 @@ def _base_poly(s: PeriodicSeq) -> IntPolynomial:
         coeffs[p - i] += a
     for j, c in enumerate(per, 1):
         coeffs[q - j] -= c
-    return IntPolynomial(coeffs)
+    return IntPolynomial._trusted(coeffs)
 
 
 def solve_base(s: PeriodicSeq) -> AlgebraicBeta:

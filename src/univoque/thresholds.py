@@ -163,9 +163,9 @@ def reduced_poly(k: int) -> IntPolynomial:
     p = threshold_poly(k)
     n = decompose(k).n
     if n >= 2:
-        p = p.exact_div(IntPolynomial((1,) * (1 << (n - 1))))
+        p = p.exact_div(IntPolynomial._trusted((1,) * (1 << (n - 1))))
     while p(-1) == 0:
-        p = p.exact_div(IntPolynomial((1, 1)))
+        p = p.exact_div(IntPolynomial._trusted((1, 1)))
     return p
 
 

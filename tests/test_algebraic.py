@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm, nan
 
 import pytest
 
 from univoque import algebraic, oracle
+from univoque.errors import PreconditionViolated
 from univoque.algebraic import (
     CertifiedRoot,
     IntPolynomial,
@@ -70,6 +72,30 @@ class TestIntPolynomial:
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPolynomial([]).is_zero
         assert IntPolynomial([0]).degree == 0
+
+    @pytest.mark.parametrize("coeffs", [(), [], (0,), (0, 0), [0, 0, 0], (-1, -1, 1),
+                                        [-1, -1, 1], (1, 2, 0, 0), [1, 2, 0, 0], (5,),
+                                        [0, 3, 0], (-(2 ** 100), 0, 7, 0)])
+    def test_trusted_build_is_the_checked_one(self, coeffs):
+        trusted, checked = IntPolynomial._trusted(coeffs), IntPolynomial(coeffs)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.coeffs == checked.coeffs
+        assert type(trusted.coeffs) is tuple
+        assert trusted.is_zero == (not any(coeffs))
+
+    @pytest.mark.parametrize("bad", [1.9, "1", None, Fraction(1, 2), 2.0])
+    def test_refuses_a_coefficient_that_is_not_a_whole_number(self, bad):
+        with pytest.raises(PreconditionViolated, match=re.escape(f"got {bad!r}")):
+            IntPolynomial([-1, bad, 1])
+
+    def test_whole_numbers_read_as_they_are(self):
+        coeffs = IntPolynomial([True, False, -1]).coeffs
+        assert coeffs == (1, 0, -1) and {type(c) for c in coeffs} == {int}
+        with pytest.raises(PreconditionViolated, match="-1.7"):
+            IntPolynomial([-1.7, -1, 1])
+        # truncated to 1, the leading 1.9 would certify the golden mean
+        with pytest.raises(PreconditionViolated, match="1.9"):
+            AlgebraicBeta(IntPolynomial([-1, -1, 1.9]))
 
     def test_eval_and_sign(self):
         p = IntPolynomial([-1, -1, 1])  # x^2 - x - 1
@@ -356,6 +382,29 @@ class TestFastPaths:
             threshold_beta(k, 2 ** -34)
             assert len(calls) <= 5, (k, len(calls))
 
+    @pytest.mark.parametrize("eps", [1e-8, 2 ** -6])
+    def test_each_root_computes_one_newton_float(self, monkeypatch, eps):
+        """At either width a threshold computes its float root once, to
+        build; at 2^-6 the copy that float() refines is deep enough to
+        propose, and it reuses that float instead of computing another."""
+        calls = []
+        float_root = algebraic._float_root
+
+        def counting(coeffs, lo, hi, s_lo):
+            calls.append(coeffs)
+            return float_root(coeffs, lo, hi, s_lo)
+
+        monkeypatch.setattr(algebraic, "_float_root", counting)
+        betas = {k: threshold_beta(k, eps) for k in range(2, 65)}
+        assert calls
+        for beta in betas.values():
+            float(beta)
+        for k in betas:
+            for m in betas:
+                assert betas[k].root.compare(betas[m].root) == sharkovskii_cmp(m, k)
+        # each threshold polynomial is a different one
+        assert len(set(calls)) == len(calls) <= len(betas)
+
 
 class TestPointIntervals:
     """A root refined onto a bisection midpoint becomes a point interval;
@@ -469,9 +518,18 @@ class TestVerifiedJumps:
     def test_wrong_float_proposals_match_bisection(self, monkeypatch, proposal):
         """A float only proposes: when it proposes nothing, NaN, a point
         outside the bracket or a point one cell of its level away from the
-        root, every interval is still the cell that bisection reaches."""
+        root, every interval is still the cell that bisection reaches.
+        Each root keeps its wrong float, and later refines and compares
+        of the same twins propose it again."""
         float_root, descend = algebraic._float_root, CertifiedRoot._descend
-        seen = {"proposals": 0}
+        seen = {"proposals": 0, "uses": 0}
+
+        class Proposal(float):
+            """A float that counts the descents it proposes a cell in."""
+
+            def as_integer_ratio(self):
+                seen["uses"] += 1
+                return super().as_integer_ratio()
 
         def entering(self, iv, k, ends=(None, None)):
             seen["iv"], seen["k"] = iv, k
@@ -482,14 +540,14 @@ class TestVerifiedJumps:
             if proposal == "nan":
                 return nan
             if proposal == "above":
-                return float(2 * hi - lo)
+                return Proposal(2 * hi - lo)
             if proposal == "below":
-                return float(2 * lo - hi)
+                return Proposal(2 * lo - hi)
             if proposal == "one cell off":
                 a, b, den = seen["iv"]
                 t = min(seen["k"], algebraic._FLOAT_BITS
                         - (max(abs(a), abs(b)).bit_length() - (b - a).bit_length()))
-                return float_root(coeffs, lo, hi, s_lo) + float((hi - lo) / 2 ** t)
+                return Proposal(float_root(coeffs, lo, hi, s_lo) + float((hi - lo) / 2 ** t))
             return None
 
         monkeypatch.setattr(CertifiedRoot, "_descend", entering)
@@ -502,6 +560,28 @@ class TestVerifiedJumps:
                 bisection_refine(ref, width)
                 assert _same_state(r, ref), (k, width)
         assert seen["proposals"] > 0
+
+        # coarse roots compute their floats; compares and finer refines of
+        # the same twins reuse them and compute none
+        twins = {k: _twins(threshold_poly(k), 1, 2) for k in (3, 5, 6, 8, 12, 40, 128)}
+        for r, ref in twins.values():
+            r.refine(Fraction(1, 2 ** 6))
+            bisection_refine(ref, Fraction(1, 2 ** 6))
+            assert _same_state(r, ref)
+        proposals, uses = seen["proposals"], seen["uses"]
+        for k in twins:
+            for m in twins:
+                (r1, ref1), (r2, ref2) = twins[k], twins[m]
+                assert r1.compare(r2) == bisection_compare(ref1, ref2) == sharkovskii_cmp(m, k)
+                assert _same_state(r1, ref1) and _same_state(r2, ref2), (k, m)
+        for width in self.WIDTHS:
+            for k, (r, ref) in twins.items():
+                r.refine(width)
+                bisection_refine(ref, width)
+                assert _same_state(r, ref), (k, width)
+        assert seen["proposals"] == proposals
+        if proposal in ("above", "below", "one cell off"):
+            assert seen["uses"] > uses
 
     def test_roots_no_float_proposes(self):
         """10^400 x - (10^400 + 1) has coefficients beyond float range, so

@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every absolute import in
-src/univoque is from the standard library or from univoque itself."""
+src/univoque is from the standard library or from univoque itself.  Its
+sources also keep one rule about where caller data is checked."""
 
 import ast
 import os
@@ -36,3 +37,32 @@ def test_cli_import_loads_no_random():
                            "import sys, univoque.cli; print('random' in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _calls_by_scope(tree: ast.AST, name: str) -> list[str]:
+    """The qualified scope of each call of the bare name `name`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_int_polynomial_checks_only_caller_data():
+    """The checking constructor IntPolynomial(...) reads every coefficient
+    with operator.index; it runs only where caller data enters
+    (BetaValue.parse).  Every internal build, from coefficients that are
+    already ints, takes IntPolynomial._trusted."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls += [(path.name, scope) for scope in _calls_by_scope(tree, "IntPolynomial")]
+    assert calls == [("expansions.py", "BetaValue.parse")]

@@ -13,6 +13,14 @@ guessing.  An algebraic base is a certified polynomial root: the orbit
 of 1 is tracked as exact polynomial remainders, integers over one
 denominator, so digits, finiteness of the expansion of 1, and all
 lexicographic decisions are exact.
+
+Each job has one code path.  GreedyExpansion._certified_prefix is the
+only reader that steps the orbit of 1 (greedy_digits steps one of its
+own x; _greedy_orbit builds both), and it keeps a failed float digit's
+message, so every reader of the digits of 1 meets one failure.
+_unique_necklaces is the one membership loop: the pruned necklace
+search, admits on each word it reaches, and the bound's one undecided
+error; oracle's existence test and trapezoid's LR cycles run it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .errors import (
     UndecidableDigitError,
     UndecidedError,
 )
-from .words import BinaryWord, PeriodicSeq, _MIRROR
+from .words import BinaryWord, PeriodicSeq, _MIRROR, _r_parity, _whole
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_DIGIT_BUDGET = 256
@@ -249,6 +257,17 @@ class _AlgebraicOrbit:
             append(digits[p + (i - p) % q] if q else 0)
 
 
+def _greedy_orbit(beta: BetaValue, x):
+    """The greedy digit orbit of x in [0, 1]: exact for an algebraic base
+    (x read as a Fraction), in floats within the tolerance otherwise."""
+    exact = isinstance(beta, AlgebraicBeta)
+    x = Fraction(x) if exact else float(x)
+    if not 0 <= x <= 1:
+        shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
+        raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
+    return _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
+
+
 class GreedyExpansion:
     """Lazily extensible greedy digits of 1, with a finiteness verdict.
 
@@ -264,58 +283,49 @@ class GreedyExpansion:
     budget = DEFAULT_DIGIT_BUDGET
 
     def __init__(self, beta: BetaValue):
-        # a flag, not the base: the base keeps its expansion (d_of_beta),
-        # and a reference back would make a cycle
-        self._exact = isinstance(beta, AlgebraicBeta)
         self._digits: list[int] = []
         self._lock = threading.RLock()
         self._bound: Optional[PeriodicSeq] = None
         # message of the float digit that failed; the orbit state did not move
         self._failed: Optional[str] = None
-        if self._exact:
-            self._orbit = _AlgebraicOrbit(beta, Fraction(1))
-        else:
-            self._orbit = _FloatOrbit(beta.value, beta.tolerance, 1.0)
-
-    def _extend_to(self, n: int) -> None:
-        with self._lock:
-            self._orbit.extend(self._digits, n)
+        # the orbit, not the base: the base keeps its expansion (d_of_beta),
+        # and a reference back would make a cycle
+        self._orbit = _greedy_orbit(beta, 1)
 
     def digit(self, i: int) -> int:
         """0-based digit access."""
+        i = _whole(i, "digit index")
         if i < 0:
             raise ValueError("digit index must be nonnegative")
-        self._extend_to(i + 1)
-        return self._digits[i]
+        return self.prefix(i + 1)._bits[i]
 
     def prefix(self, n: int) -> BinaryWord:
+        n = _whole(n, "digit count")
         if n < 0:
             raise ValueError("digit count must be nonnegative")
-        self._extend_to(n)
-        return BinaryWord._trusted(bytes(self._digits[:n]))
-
-    def _certify(self, n: int) -> None:
-        """Extend to n digits, or up to the first undecidable one; the
-        caller holds the lock.  Once a digit has failed, later calls do
-        not step again: the orbit state is unchanged, so the step would
-        fail the same way."""
-        if self._failed is None:
-            try:
-                self._orbit.extend(self._digits, n)
-            except UndecidableDigitError as exc:
-                self._failed = str(exc)
+        digits = self._certified_prefix(n)
+        if len(digits) < n:
+            raise UndecidableDigitError(self._failed)
+        return BinaryWord._trusted(digits)
 
     def _certified_prefix(self, n: int) -> bytes:
-        """Up to n digits, ending before the first undecidable one."""
+        """Up to n digits, ending before the first undecidable one: the
+        one reader of the orbit.  Once a digit has failed, later calls do
+        not step again: the orbit state is unchanged, so the step would
+        fail the same way."""
         with self._lock:
-            self._certify(n)
+            if self._failed is None:
+                try:
+                    self._orbit.extend(self._digits, n)
+                except UndecidableDigitError as exc:
+                    self._failed = str(exc)
             return bytes(self._digits[:n])
 
     @property
     def finiteness(self):
         with self._lock:
             if self._orbit.finite_at is None and self._orbit.cycle is None:
-                self._certify(self.budget)
+                self._certified_prefix(self.budget)
             if self._orbit.finite_at is not None:
                 return ("finite", self._orbit.finite_at)
             if self._orbit.cycle is not None:
@@ -332,7 +342,7 @@ class GreedyExpansion:
         A float base is never finite or periodic, so its bound is None
         at once, without reading a digit: the bound prefix then reads
         the digits of 1 lazily, as deep as a comparison needs."""
-        if self._bound is None and self._exact:
+        if self._bound is None and isinstance(self._orbit, _AlgebraicOrbit):
             kind, at = self.finiteness
             if kind == "finite":
                 self._bound = PeriodicSeq._trusted(b"", bytes(self._digits[:at - 1]) + b"\0")
@@ -351,16 +361,11 @@ def greedy_digits(beta, x, n: int) -> BinaryWord:
     accumulated error band (UndecidableDigitError otherwise).
     """
     beta = as_beta(beta)
+    n = _whole(n, "digit count")
     if n < 0:
         raise ValueError("digit count must be nonnegative")
-    exact = isinstance(beta, AlgebraicBeta)
-    x = Fraction(x) if exact else float(x)
-    if not 0 <= x <= 1:
-        shown = str(x) if len(str(x)) <= 40 else f"a value {'below 0' if x < 0 else 'above 1'}"
-        raise PreconditionViolated(f"x must lie in [0, 1], got {shown}")
-    orbit = _AlgebraicOrbit(beta, x) if exact else _FloatOrbit(beta.value, beta.tolerance, x)
     digits = bytearray()
-    orbit.extend(digits, n)
+    _greedy_orbit(beta, x).extend(digits, n)
     return BinaryWord._trusted(bytes(digits))
 
 
@@ -495,8 +500,10 @@ class _BoundPrefix:
     __slots__ = ("top", "low", "_exp", "_budget", "_undecided")
 
     def __init__(self, beta: BetaValue, q: int, digit_budget: Optional[int]):
-        if digit_budget is not None and digit_budget < 1:
-            raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
+        if digit_budget is not None:
+            digit_budget = _whole(digit_budget, "digit budget")
+            if digit_budget < 1:
+                raise PreconditionViolated(f"digit budget must be at least 1, got {digit_budget}")
         exp = d_of_beta(beta)
         bound = exp.bound
         self._exp = self._budget = self._undecided = None
@@ -556,9 +563,34 @@ class _BoundPrefix:
             start = j
 
 
+def _unique_necklaces(bound: _BoundPrefix, n: int, decode: bool):
+    """Yield, largest first, the primitive period-n words, each as its
+    largest rotation, whose tested word the bound admits: the word
+    itself, or with decode its R-parity decoding to 2n symbols (the word
+    0, the fixed point L, is yielded untested).  The one membership loop
+    of the package; the only error it raises is the bound's one
+    `undecided` error, which is all that `admits` raises.  The existence
+    test takes the first word, so a word left undecided does not stop
+    the search, and the error is raised after it.  The LR cycles (with
+    decode) take every word, so the first word left undecided raises at
+    once: the rest of the search could not change the outcome."""
+    undecided = False
+    for word in _pruned_necklaces(bound, n, decode):
+        try:
+            if decode and word == b"\0" or bound.admits(_r_parity(word * 2) if decode else word, n):
+                yield word
+        except (UndecidedError, UndecidableDigitError):
+            if decode:
+                raise
+            undecided = True
+    if undecided:
+        error, args = bound.undecided
+        raise error(*args)
+
+
 def _pruned_necklaces(bound: _BoundPrefix, n: int, decode: bool):
     """Yield, largest first, the primitive period-n words, each as its
-    largest rotation, that survive the cut below; the caller runs
+    largest rotation, that survive the cut below; _unique_necklaces runs
     bound.admits on the tested word, which is the word itself, or with
     decode its R-parity decoding (symbol t the parity of the 1s in
     w[0..t]).  The one necklace search of the package, after Ruskey and

@@ -15,10 +15,11 @@ expansions of 1 growing with the base) are checked on every word of a
 stated finite range, never on samples: lemma_report lists each range
 once in lex order and checks each neighbour pair.
 
-The walk is the one necklace search of the package
-(expansions._pruned_necklaces, which find_lr_cycles runs on decoded
-words), with one cut rule: a prefix goes once the oldest shift not
-strictly inside the bound lies strictly outside it.  Request paths
+The walk is the one membership loop of the package
+(expansions._unique_necklaces, which find_lr_cycles runs on decoded
+words): a pruned necklace search with one cut rule, a prefix goes once
+the oldest shift not strictly inside the bound lies strictly outside
+it, and one undecided error, the bound's.  Request paths
 build no reference cycles, so reference counting frees what a call
 builds when it returns and leaves the cycle collector nothing to find:
 garbage in cycles would set the collector off, and a replayed sequence
@@ -28,7 +29,6 @@ of operations would pay for it inside the same requests every time.
 from __future__ import annotations
 
 import warnings
-from functools import cmp_to_key
 from itertools import pairwise, product
 from typing import Optional
 
@@ -41,7 +41,7 @@ from .errors import (
 from .expansions import (
     FloatBeta,
     _BoundPrefix,
-    _pruned_necklaces,
+    _unique_necklaces,
     as_beta,
     is_parry_admissible,
     solve_base,
@@ -54,7 +54,7 @@ from .words import (  # noqa: F401  (Necklace, primitive_necklaces re-exported)
     Necklace,
     PeriodicSeq,
     _MIRROR,
-    _period,
+    _whole,
     doubling_map,
     lex_cmp,
     primitive_necklaces,
@@ -89,32 +89,21 @@ def exists_period_n_unique(beta, n: int,
     bound lies strictly outside; a shift above `top` needs no rule of
     its own, as shift 0 of a largest rotation then lies above it too.
     Every word left runs the test of is_unique_expansion(beta, (w)^w,
-    digit_budget) against one bound prefix shared by the search, and
-    every word cut would have returned False without raising, so
-    verdicts and undecided errors are those of a scan over all
-    necklaces.  A word left undecided does not stop the search; only
-    when no word passes is the error raised, made from the bound's
-    `undecided`, the one error `admits` raises.
+    digit_budget) against one bound prefix shared by the search
+    (expansions._unique_necklaces), so verdicts and undecided errors
+    are those of a scan over all necklaces: a word left undecided does
+    not stop the search, and only when no word passes is the bound's
+    one error raised.
     """
     beta = as_beta(beta)
-    n = _period(n)
+    n = _whole(n, "period")
     if n < 1:
         raise PreconditionViolated("period must be positive")
     if n > PERIOD_LIMIT:
         raise TooLargeError(
             f"membership search capped at n <= PERIOD_LIMIT = {PERIOD_LIMIT}")
-    bound = _BoundPrefix(beta, n, digit_budget)
-    undecided = False
-    for word in _pruned_necklaces(bound, n, False):
-        try:
-            if bound.admits(word, n):
-                return True
-        except (UndecidedError, UndecidableDigitError):
-            undecided = True
-    if undecided:  # the one error admits raises, kept on the bound
-        error, args = bound.undecided
-        raise error(*args)
-    return False
+    # a word yielded is nonempty bytes, so true
+    return any(_unique_necklaces(_BoundPrefix(beta, n, digit_budget), n, False))
 
 
 def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
@@ -131,7 +120,7 @@ def min_beta_for_period(n: int, eps: float = 1e-6) -> FloatBeta:
     it at 8 points and warns on any anomaly rather than trusting
     silently.
     """
-    n = _period(n)
+    n = _whole(n, "period")
     if n < 2:
         raise PreconditionViolated("periods start at 2")
     if n > PERIOD_LIMIT:
@@ -176,7 +165,8 @@ def verify_ordering(n_max: int) -> dict:
     Sharkovskii order on periods, for all pairs 2 <= k, m <= n_max.
 
     Returns a report with any violations (expected none) and the full
-    chain sorted by threshold value.
+    chain sorted by threshold value, each threshold at the position the
+    pairwise compares give it: the number of thresholds below it.
     """
     if n_max < 2:
         raise PreconditionViolated("need n_max >= 2")
@@ -186,16 +176,17 @@ def verify_ordering(n_max: int) -> dict:
     ks = list(range(2, n_max + 1))
     betas = {k: threshold_beta(k, 1e-9) for k in ks}
     violations = []
+    below = dict.fromkeys(ks, 0)
     for i, k in enumerate(ks):
         for m in ks[i + 1:]:
             numeric = betas[k].root.compare(betas[m].root)
+            below[k if numeric == GREATER else m] += 1
             expected = LESS if sharkovskii_cmp(m, k) == LESS else GREATER
             if numeric != expected:
                 violations.append({"k": k, "m": m, "numeric": numeric,
                                    "expected": expected})
-    order = sorted(ks, key=cmp_to_key(lambda a, b: betas[a].root.compare(betas[b].root)))
     chain = []
-    for pos, k in enumerate(order):
+    for pos, k in enumerate(sorted(ks, key=below.__getitem__)):
         lo, hi = betas[k].interval
         chain.append({
             "n": k,

@@ -24,13 +24,13 @@ not certified (ROADMAP item 9).  The LR cycles below do not use it.
 
 Also here: the plateau-avoiding (LR) cycles, found as the decoded
 periodic unique expansions (the link between the two families on which
-the paper's second proof of the threshold order rests) by the
-membership test's necklace search (expansions._pruned_necklaces) run
-on decoded words.  Its one cut rule drops a prefix once the oldest
-decoded shift not strictly inside the bound lies strictly outside it,
-so its cost follows the cycles it finds rather than the number of
-necklaces, and like every request path (see oracle) it builds no
-reference cycle; clipped
+the paper's second proof of the threshold order rests) by the one
+membership loop of the package (expansions._unique_necklaces) run on
+R-parity decodings, by the rule decode_itinerary uses (words._r_parity).
+Its search drops a prefix once the oldest decoded shift not strictly
+inside the bound lies strictly outside it, so its cost follows the
+cycles it finds rather than the number of necklaces, and like every
+request path (see oracle) it builds no reference cycle; clipped
 trapezoid variants with a lowered plateau, and the continuous-extension
 demonstration producing a genuine 3-periodic point above the period-4
 threshold, solved as one linear equation and certified by exact
@@ -43,7 +43,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import xor
 from typing import Optional
 
@@ -54,7 +53,7 @@ from .errors import (
     PreconditionViolated,
     TooLargeError,
 )
-from .expansions import BetaValue, _BoundPrefix, _gap_map, _pruned_necklaces, as_beta
+from .expansions import BetaValue, _BoundPrefix, _gap_map, _unique_necklaces, as_beta
 from .thresholds import threshold_beta
 from .words import (
     EQUAL,
@@ -63,7 +62,8 @@ from .words import (
     NECKLACE_LIMIT,
     PeriodicSeq,
     _EventuallyPeriodic,
-    _period,
+    _r_parity,
+    _whole,
 )
 
 BOUNDARY_TOL = 1e-10
@@ -223,11 +223,6 @@ def decode_itinerary(it: Itinerary) -> PeriodicSeq:
     return PeriodicSeq._trusted(bits[:p], bits[p:])
 
 
-def _r_parity(rs: bytes) -> bytes:
-    """The decoding rule: bit i is the parity of the 1s (the Rs) in rs[0..i]."""
-    return bytes(accumulate(rs, xor))
-
-
 def unimodal_cmp(a: Itinerary, b: Itinerary) -> int:
     """Itinerary order for maps with one increasing and one decreasing
     branch: compare at the first difference with L < C < R, flipping the
@@ -261,16 +256,11 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
 
     The candidates are the primitive necklaces (R for 1), so n <=
     NECKLACE_LIMIT, checked before any digit of 1 is read.  The
-    necklace search of the membership test grows their largest
-    rotations, largest first, and tests the R-parity decoding (symbol t
-    is the parity of the Rs in w[0..t]): it cuts a prefix once the
-    oldest decoded shift not strictly inside the bound lies strictly
-    outside, since the test then fails there without raising.  Every
-    complete word it reaches runs the full test, so the cycles and the
-    first undecided error are those of a scan over all necklaces, at a
-    cost that follows the cycles found.  A clip is checked only on
-    TrapezoidParams; a bare base builds no map and reads no float of
-    the base.
+    membership loop (expansions._unique_necklaces) tests their R-parity
+    decodings, so the cycles and the first undecided error are those of
+    a scan over all necklaces, at a cost that follows the cycles found.
+    A clip is checked only on TrapezoidParams; a bare base builds no map
+    and reads no float of the base.
     """
     if isinstance(params, TrapezoidParams):
         if params.clip is not None:
@@ -278,7 +268,7 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
         beta = params.beta
     else:
         beta = as_beta(params)  # no map geometry, so no float of the base
-    n = _period(n)
+    n = _whole(n, "period")
     if n < 1:
         raise PreconditionViolated("cycle length must be positive")
     if n > NECKLACE_LIMIT:
@@ -286,10 +276,8 @@ def find_lr_cycles(params, n: int) -> list[Itinerary]:
             f"necklace enumeration capped at n <= NECKLACE_LIMIT = {NECKLACE_LIMIT}")
     # a decoded word has period n or 2n, and its shifts by n or more mirror
     # those below n, which the two-sided criterion treats alike
-    bound = _BoundPrefix(beta, 2 * n, None)
     found = [Itinerary._trusted("", bits.translate(_LR_OF_BITS).decode())
-             for bits in _pruned_necklaces(bound, n, True)
-             if bits == b"\0" or bound.admits(_r_parity(bits * 2), n)]
+             for bits in _unique_necklaces(_BoundPrefix(beta, 2 * n, None), n, True)]
     return found[::-1]
 
 

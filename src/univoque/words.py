@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import index
+from itertools import accumulate
+from operator import index, xor
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import PreconditionViolated, TooLargeError
@@ -56,6 +57,12 @@ def _coerce_bits(bits: _BitsLike) -> bytes:
     if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"symbols must be 0 or 1, got {out}")
     return bytes(out)
+
+
+def _r_parity(rs: bytes) -> bytes:
+    """The R-parity decoding: bit i is the parity of the 1s (the Rs of an
+    itinerary) in rs[0..i]."""
+    return bytes(accumulate(rs, xor))
 
 
 class BinaryWord:
@@ -370,13 +377,14 @@ class Necklace:
     period: int
 
 
-def _period(n) -> int:
-    """A period as an int: a whole number, read with operator.index, so
-    True reads as 1 and a float is refused."""
+def _whole(n, name: str) -> int:
+    """A period, count or index as an int: a whole number, read with
+    operator.index, so True reads as 1 and a float is refused, naming
+    the quantity and the value."""
     try:
         return index(n)
     except TypeError:
-        raise PreconditionViolated(f"period must be a whole number, got {n!r}") from None
+        raise PreconditionViolated(f"{name} must be a whole number, got {n!r}") from None
 
 
 def primitive_necklaces(n: int) -> list[Necklace]:
@@ -384,7 +392,7 @@ def primitive_necklaces(n: int) -> list[Necklace]:
     ascending order: the words of _necklace_words read backwards, each
     built the trusted way (object.__new__ and the slot descriptors, as
     BinaryWord._trusted), without the dataclass __init__ per necklace."""
-    n = _period(n)
+    n = _whole(n, "period")
     words = _necklace_words(n)
     new = object.__new__
     # the slot descriptors' setters: the frozen __setattr__ refuses a store

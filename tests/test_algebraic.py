@@ -372,15 +372,15 @@ class TestFastPaths:
         poly = threshold_poly(1024)
         assert poly.sign_at(lo) * poly.sign_at(hi) < 0
 
-    def test_threshold_builds_with_five_exact_values(self, monkeypatch):
-        """Two end signs and the sign at lo when the root is made, and the
+    def test_threshold_builds_with_four_exact_values(self, monkeypatch):
+        """Two end signs when the root is made, the one at lo kept, and the
         two ends of the cell a float root proposes: the secant jumps alone
         take 15 or more."""
         calls = _count_values(monkeypatch)
         for k in (*range(2, 257), 1024):
             calls.clear()
             threshold_beta(k, 2 ** -34)
-            assert len(calls) <= 5, (k, len(calls))
+            assert len(calls) <= 4, (k, len(calls))
 
     @pytest.mark.parametrize("eps", [1e-8, 2 ** -6])
     def test_each_root_computes_one_newton_float(self, monkeypatch, eps):

@@ -40,14 +40,15 @@ def test_cli_import_loads_no_random():
 
 
 def _calls_by_scope(tree: ast.AST, name: str) -> list[str]:
-    """The qualified scope of each call of the bare name `name`."""
+    """The qualified scope of each call of `name`, bare or as an
+    attribute (a method call)."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == name):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -66,3 +67,24 @@ def test_int_polynomial_checks_only_caller_data():
         tree = ast.parse(path.read_text(), str(path))
         calls += [(path.name, scope) for scope in _calls_by_scope(tree, "IntPolynomial")]
     assert calls == [("expansions.py", "BetaValue.parse")]
+
+
+def test_one_reader_of_the_orbit_and_one_membership_loop():
+    """Only GreedyExpansion._certified_prefix steps the orbit of 1
+    (greedy_digits steps an orbit of its own x), and only the membership
+    loop expansions._unique_necklaces runs the pruned necklace search;
+    it and is_unique_expansion are the only callers of admits.  So each
+    digit of 1 read, necklace searched and undecided word has one
+    source."""
+    calls = {"extend": [], "_pruned_necklaces": [], "admits": []}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, found in calls.items():
+            found += sorted((path.name, scope) for scope in _calls_by_scope(tree, name))
+    assert calls == {
+        "extend": [("expansions.py", "GreedyExpansion._certified_prefix"),
+                   ("expansions.py", "greedy_digits")],
+        "_pruned_necklaces": [("expansions.py", "_unique_necklaces")],
+        "admits": [("expansions.py", "_unique_necklaces"),
+                   ("expansions.py", "is_unique_expansion")],
+    }

@@ -581,19 +581,24 @@ class TestUniquenessNearThresholds:
         assert seen == {True, False, UndecidedError, UndecidableDigitError}
 
     def test_fresh_float_bound_extends_the_orbit_at_most_twice(self, monkeypatch):
-        # each extension steps into the undecidable digit once more
+        # the bound reads q digits, then the whole budget, which fails; the
+        # verdict after it steps no more, as the failed digit is kept
         calls = []
-        extend = GreedyExpansion._extend_to
+        extend = _FloatOrbit.extend
 
-        def counting(exp, n):
-            calls.append(n)
-            return extend(exp, n)
+        def counting(orbit, digits, n):
+            try:
+                extend(orbit, digits, n)
+            except UndecidableDigitError:
+                calls.append((n, "failed"))
+                raise
+            calls.append((n, "read"))
 
-        monkeypatch.setattr(GreedyExpansion, "_extend_to", counting)
+        monkeypatch.setattr(_FloatOrbit, "extend", counting)
         beta = FloatBeta(1.87)
         bound = _BoundPrefix(beta, 2, None)
-        assert len(calls) <= 2
         assert bound.undecided is not None and d_of_beta(beta).finiteness[0] == "unknown"
+        assert calls == [(2, "read"), (4 * 2 + 64, "failed")]
 
     def test_exact_bounds_match_lcm_bound_reference(self):
         # exact bases whose expansion of 1 is finite (the thresholds) or

@@ -16,7 +16,7 @@ from univoque.errors import (
     UndecidedError,
 )
 from univoque.expansions import (BetaValue, FloatBeta, _pruned_necklaces, d_of_beta,
-                                 is_unique_expansion)
+                                 greedy_digits, is_unique_expansion)
 from univoque.oracle import (
     Necklace,
     exists_period_n_unique,
@@ -125,12 +125,19 @@ class TestNecklaceWalkers:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 neck.representative = plain.representative
 
-    @pytest.mark.parametrize("n", [3.0, "3", None])
+    @pytest.mark.parametrize("n", [3.0, "3", None, 2.5])
     def test_periods_must_be_whole_numbers(self, n):
-        calls = (lambda: primitive_necklaces(n),
+        calls = [lambda: primitive_necklaces(n),
                  lambda: exists_period_n_unique(FloatBeta(1.9), n),
                  lambda: find_lr_cycles(FloatBeta(1.9), n),
-                 lambda: min_beta_for_period(n))
+                 lambda: min_beta_for_period(n),
+                 # digit counts, indices and budgets are read the same way
+                 lambda: greedy_digits(FloatBeta(1.9), 0.5, n),
+                 lambda: d_of_beta(FloatBeta(1.9)).prefix(n),
+                 lambda: d_of_beta(FloatBeta(1.9)).digit(n)]
+        if n is not None:  # no budget means the default one
+            calls += [lambda: exists_period_n_unique(FloatBeta(1.9), 3, n),
+                      lambda: is_unique_expansion(FloatBeta(1.8), PeriodicSeq.parse("(01)^w"), n)]
         for call in calls:
             with pytest.raises(PreconditionViolated, match=f"got {n!r}"):
                 call()
@@ -140,6 +147,12 @@ class TestNecklaceWalkers:
         assert [(str(neck.representative), neck.period) for neck in necks] == [("0", 1), ("1", 1)]
         assert all(type(neck.period) is int for neck in necks)
         assert exists_period_n_unique(FloatBeta(1.9), True) is False
+        exp = d_of_beta(FloatBeta(1.8))
+        assert exp.prefix(True) == exp.prefix(1) and exp.digit(True) == exp.digit(1)
+        assert greedy_digits(FloatBeta(1.8), 0.5, True) == greedy_digits(FloatBeta(1.8), 0.5, 1)
+        with pytest.raises(UndecidedError, match="within 1 digits") as info:
+            is_unique_expansion(FloatBeta(1.8), PeriodicSeq.parse("(01)^w"), True)
+        assert info.value.budget == 1
 
 
 class TestExistence:

@@ -11,6 +11,7 @@ from univoque.errors import (
     OutOfDomainError,
     PreconditionViolated,
     TooLargeError,
+    UndecidableDigitError,
     UnivoqueError,
 )
 from univoque.expansions import (
@@ -50,6 +51,7 @@ from util import (
     affine_lr_cycles,
     bisection_three_cycle,
     classify_reference,
+    eager_lr_cycles,
     float_extension_map,
     lr_necklace_words,
     plateau_reference,
@@ -499,6 +501,31 @@ class TestLRCyclesByCriterion:
         monkeypatch.setattr(_BoundPrefix, "admits", counted)
         assert len(find_lr_cycles(FloatBeta(1.8), 24)) == 121
         assert len(calls) <= 1000
+
+    def test_undecided_float_raises_at_the_first_undecided_word(self, monkeypatch):
+        # 1e-13 below beta_3 every decoded word of length 5 or 24 ties on
+        # the digit of 1 that fails; the cycles are wanted whole, so the first
+        # undecided word raises, with the class and message of a scan
+        # over all necklaces, before the search walks on through the rest
+        b = float(threshold_beta(3, 1e-15)) - 1e-13
+        message = ("orbit point 0.5436890126918088 within 1e-12 of branch point 1/b; "
+                   "use an algebraic base for an exact decision")
+        with pytest.raises(UndecidableDigitError) as scan:
+            eager_lr_cycles(FloatBeta(b), 5)
+        assert str(scan.value) == message
+        calls = []
+        admits = _BoundPrefix.admits
+
+        def counted(self, *args):
+            calls.append(args)
+            return admits(self, *args)
+
+        monkeypatch.setattr(_BoundPrefix, "admits", counted)
+        for n in (5, 24):
+            calls.clear()
+            with pytest.raises(UndecidableDigitError) as search:
+                find_lr_cycles(FloatBeta(b), n)
+            assert str(search.value) == message and len(calls) == 1, n
 
 
 class TestConjugacySegment:

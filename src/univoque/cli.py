@@ -19,12 +19,18 @@ Examples:
 Exit status: 0 on success, 1 on a violated precondition or other domain
 error (the message names the condition), 2 when a decision ran out of
 digit or precision budget (the message names the budget).
+
+The decimals printed for a certified number (`beta-n`, `q-n`, the
+`beta_n` column of `table`, `kl` text) are the digits that both ends of
+its certified interval round to; the interval is narrowed until they do.
+Each command's parser is built on first use, and only that one; the full
+command tree is built for help, a missing or unknown command and
+leftover arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -84,6 +90,8 @@ def _emit_rows(args, rows: list[dict], out) -> None:
     if args.format == "json":
         out.write(json.dumps(rows, indent=2) + "\n")
     elif args.format == "csv":
+        import csv  # only this branch writes csv; `import univoque.cli` stays without it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -97,20 +105,48 @@ def _emit_rows(args, rows: list[dict], out) -> None:
             out.write("  ".join(str(r[k]).ljust(widths[k]) for k in r).rstrip() + "\n")
 
 
+def _fixed(units: int, places: int) -> str:
+    """units / 10^places, >= 0, as text with `places` decimals."""
+    whole, frac = divmod(units, 10 ** places)
+    return f"{whole}.{frac:0{places}d}"
+
+
+def _decimals(beta: AlgebraicBeta, places: int) -> str:
+    """The certified root `beta` to `places` decimals: the rounding
+    (exact, half to even) that both ends of its interval share.  The
+    interval is refined in place until they share one: first below
+    10^-places, which leaves at most one rounding boundary inside it,
+    then to the side of that boundary on which the root lies, by one
+    exact sign.  A root that is the boundary itself prints its own
+    rounding."""
+    scale = 10 ** places
+    lo, hi = beta.interval
+    units = round(lo * scale)
+    if round(hi * scale) != units:
+        lo, hi = beta.refine(Fraction(1, scale)).interval
+        units = round(lo * scale)
+        if round(hi * scale) != units:
+            boundary = Fraction(2 * units + 1, 2 * scale)
+            side = beta.root.cmp_rational(boundary)
+            units = round(boundary * scale) if side == 0 else units + (side > 0)
+    return _fixed(units, places)
+
+
 def _emit_root(args, out, beta, index: str, key: str) -> int:
     """Print a certified root to 5 decimals, or as JSON under the period
-    `index` (read from args) and `key`, with its polynomial and interval."""
+    `index` (read from args) and `key`, with its polynomial and interval
+    (read before the decimals refine it) and 10 decimals."""
     if args.format == "json":
         lo, hi = beta.interval
         out.write(json.dumps({
             index: getattr(args, index),
-            key: f"{float(beta):.10f}",
+            key: _decimals(beta, 10),
             "poly": poly_str(beta.poly),
             "lo": str(lo),
             "hi": str(hi),
         }, indent=2) + "\n")
     else:
-        out.write(f"{float(beta):.5f}\n")
+        out.write(_decimals(beta, 5) + "\n")
     return 0
 
 
@@ -131,7 +167,7 @@ def cmd_table(args, out) -> int:
             "d_beta_n": str(word)[:-1] + "1",
             "defining_poly": poly_str(beta.poly),
             "minimal_poly_if_divides": poly_str(thresholds.reduced_poly(n)),
-            "beta_n": f"{float(beta):.5f}",
+            "beta_n": _decimals(beta, 5),
             "below_KL": "yes" if thresholds.below_komornik_loreti(n) else "no",
         })
     _emit_rows(args, rows, out)
@@ -248,9 +284,13 @@ def cmd_kl(args, out) -> int:
             "hi": str(hi),
         }, indent=2) + "\n")
     else:
-        # a midpoint at the requested width can misround the 5th decimal
-        lo, hi = thresholds.kl_bracket(min(eps, Fraction(1, 10 ** 8)))
-        out.write(f"{float((lo + hi) / 2):.5f}\n")
+        # the digits both ends share, as _decimals prints a root; the
+        # constant is transcendental, so it is no rounding boundary and
+        # the narrowing ends
+        lo, hi = thresholds.kl_bracket(min(eps, Fraction(1, 10 ** 5)))
+        while round(lo * 10 ** 5) != round(hi * 10 ** 5):
+            lo, hi = thresholds.kl_bracket((hi - lo) / 2)
+        out.write(_fixed(round(lo * 10 ** 5), 5) + "\n")
     return 0
 
 
@@ -312,88 +352,93 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_EPS_8 = _arg("--eps", type=_eps, default=1e-8)
+_BETA = _arg("--beta", required=True)
+
+# name: (function, help, --format choices besides text, arguments)
+_COMMANDS = {
+    "table": (cmd_table, "threshold table for periods 2..N", ("csv", "json"),
+              _arg("n_max", type=int), _EPS_8),
+    "beta-n": (cmd_beta_n, "certified threshold for period k", ("json",),
+               _arg("k", type=int), _EPS_8),
+    "a-k": (cmd_a_k, "least extremal sequence of period k", ("json",),
+            _arg("k", type=int),
+            _arg("--method", choices=("recursive", "explicit", "both"), default="both")),
+    "expand": (cmd_expand, "greedy digits of x in a base", (),
+               _BETA, _arg("--x", required=True), _arg("--digits", type=int, default=16)),
+    "check-unique": (cmd_check_unique,
+                     "two-sided criterion: every shift strictly between the mirrored "
+                     "bound and the bound; false on (0)^w and (1)^w, which are unique too",
+                     (), _BETA, _arg("--seq", required=True),
+                     _arg("--budget", type=int, default=None)),
+    "verify-order": (cmd_verify_order, "pairwise threshold order vs Sharkovskii order",
+                     ("json",), _arg("n_max", type=int)),
+    "orbit": (cmd_orbit, "orbit of x under the gap map F or the trapezoid T", (),
+              _BETA, _arg("--x", required=True), _arg("--steps", type=int, default=10),
+              _arg("--map", choices=("F", "T"), default="T")),
+    "lr-cycles": (cmd_lr_cycles, "plateau-avoiding cycles of length n", ("json",),
+                  _BETA, _arg("--n", type=int, required=True)),
+    "extension3": (cmd_extension3, "3-periodic point of the continuous extension",
+                   ("json",), _BETA),
+    "kl": (cmd_kl, "Komornik-Loreti constant", ("json",),
+           _arg("--eps", type=_eps, default=1e-5)),
+    "q-n": (cmd_q_n, "plain greedy period threshold root", ("json",),
+            _arg("n", type=int), _EPS_8),
+    "conjecture-2n": (cmd_conjecture_2n,
+                      "experiment: scan for the first 2^n cycle near its threshold", (),
+                      _arg("--n", type=int, default=1),
+                      _arg("--beta-min", type=float, default=None),
+                      _arg("--beta-max", type=float, default=None),
+                      _arg("--steps", type=int, default=9)),
+    "verify-lemmas": (cmd_verify_lemmas,
+                      "the order lemmas, checked on every word of a stated finite range", ()),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, formats, *arguments = _COMMANDS[name]
+    parser.set_defaults(func=func)
+    if formats:
+        parser.add_argument("--format", choices=("text", *formats), default="text")
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command tree, built once per process on first use."""
+    """The command tree, built once per process on first use.  main
+    needs it only for help, a missing or unknown command and leftover
+    arguments."""
     parser = _Parser(prog="univoque",
                      description="Unique expansions in non-integer bases: "
                                  "thresholds, extremal sequences, and "
                                  "trapezoidal map dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, formats=()):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if formats:
-            p.add_argument("--format", choices=("text", *formats), default="text")
-        return p
-
-    p = add("table", cmd_table, "threshold table for periods 2..N", ("csv", "json"))
-    p.add_argument("n_max", type=int)
-    p.add_argument("--eps", type=_eps, default=1e-8)
-
-    p = add("beta-n", cmd_beta_n, "certified threshold for period k", ("json",))
-    p.add_argument("k", type=int)
-    p.add_argument("--eps", type=_eps, default=1e-8)
-
-    p = add("a-k", cmd_a_k, "least extremal sequence of period k", ("json",))
-    p.add_argument("k", type=int)
-    p.add_argument("--method", choices=("recursive", "explicit", "both"),
-                   default="both")
-
-    p = add("expand", cmd_expand, "greedy digits of x in a base")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--digits", type=int, default=16)
-
-    p = add("check-unique", cmd_check_unique,
-            "two-sided criterion: every shift strictly between the mirrored "
-            "bound and the bound; false on (0)^w and (1)^w, which are unique too")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = add("verify-order", cmd_verify_order,
-            "pairwise threshold order vs Sharkovskii order", ("json",))
-    p.add_argument("n_max", type=int)
-
-    p = add("orbit", cmd_orbit, "orbit of x under the gap map F or the trapezoid T")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--map", choices=("F", "T"), default="T")
-
-    p = add("lr-cycles", cmd_lr_cycles, "plateau-avoiding cycles of length n",
-            ("json",))
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("extension3", cmd_extension3,
-            "3-periodic point of the continuous extension", ("json",))
-    p.add_argument("--beta", required=True)
-
-    p = add("kl", cmd_kl, "Komornik-Loreti constant", ("json",))
-    p.add_argument("--eps", type=_eps, default=1e-5)
-
-    p = add("q-n", cmd_q_n, "plain greedy period threshold root", ("json",))
-    p.add_argument("n", type=int)
-    p.add_argument("--eps", type=_eps, default=1e-8)
-
-    p = add("conjecture-2n", cmd_conjecture_2n,
-            "experiment: scan for the first 2^n cycle near its threshold")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--beta-min", type=float, default=None)
-    p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=9)
-
-    add("verify-lemmas", cmd_verify_lemmas,
-        "the order lemmas, checked on every word of a stated finite range")
-
+    for name, (_, help_text, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built once per process on first use:
+    the tree's subparser for it, alone."""
+    return _add_arguments(_Parser(prog=f"univoque {name}"), name)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if rest:  # reported by the tree's top level, as a full parse would
+            build_parser().error(f"unrecognized arguments: {' '.join(rest)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except UndecidedError as exc:

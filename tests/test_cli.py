@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import re
@@ -175,6 +176,76 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "check-unique", "--beta", "float:1.9",
                            "--seq", "(01)^w")
         assert code == 0 and out.strip() == "true"
+
+
+def _shares_digits(beta, places: int, text: str) -> bool:
+    """Whether both ends of beta's interval round to text."""
+    return all(cli._fixed(round(end * 10 ** places), places) == text for end in beta.interval)
+
+
+def _kept_results(monkeypatch, name: str) -> list:
+    """The results of every call main makes to thresholds.<name>, in order."""
+    results = []
+    make = getattr(cli.thresholds, name)
+
+    def kept(*args):
+        results.append(make(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli.thresholds, name, kept)
+    return results
+
+
+class TestCertifiedDecimals:
+    """Printed decimals are the rounding that both ends of the certified
+    interval share.  They agree with the midpoint float of the interval
+    refined to 2^-60, which the command line used to print unchecked."""
+
+    @pytest.mark.parametrize("command, build, last, key", [
+        ("beta-n", "threshold_beta", 256, "beta"),
+        ("q-n", "greedy_threshold", 64, "q_n"),
+    ])
+    @pytest.mark.parametrize("eps", ["1e-8", "1e-2"])
+    def test_digits_are_shared_by_both_ends(self, capsys, monkeypatch, command, build,
+                                            last, key, eps):
+        make = getattr(cli.thresholds, build)
+        roots = _kept_results(monkeypatch, build)
+        for k in range(2, last + 1):
+            lo, hi = make(k, Fraction(1, 2 ** 60)).interval
+            midpoint = float((lo + hi) / 2)
+            code, out, _ = run(capsys, command, str(k), "--eps", eps)
+            assert (code, out) == (0, f"{midpoint:.5f}\n"), k
+            assert _shares_digits(roots[-1], 5, out.strip()), k
+            code, out, _ = run(capsys, command, str(k), "--eps", eps, "--format", "json")
+            data = json.loads(out)
+            assert (code, data["poly"]) == (0, str(roots[-1].poly)), k
+            assert data[key] == f"{midpoint:.10f}", k
+            assert _shares_digits(roots[-1], 10, f"{midpoint:.10f}"), k
+            # the printed interval is the one at --eps, read before the digits
+            assert (Fraction(data["lo"]), Fraction(data["hi"])) == make(k, float(eps)).interval
+
+    def test_table_column_is_shared_by_both_ends(self, capsys, monkeypatch):
+        roots = _kept_results(monkeypatch, "threshold_beta")
+        code, out, _ = run(capsys, "table", "24", "--eps", "1e-2", "--format", "csv")
+        column = [line.split(",")[4] for line in out.splitlines()[1:]]
+        assert code == 0 and len(column) == len(roots) == 23
+        assert all(_shares_digits(beta, 5, text) for beta, text in zip(roots, column))
+
+    @pytest.mark.parametrize("base, places, text", [
+        ("poly:[-3,2]@(1,2)", 5, "1.50000"),           # the interval becomes a point
+        ("poly:[-3,2]@(1,2)", 10, "1.5000000000"),
+        ("poly:[-200001,200000]@(1,2)", 5, "1.00000"),  # a rounding boundary: half to even
+        ("poly:[-200003,200000]@(1,2)", 5, "1.00002"),
+        ("poly:[-2,0,1]@(1,2)", 10, "1.4142135624"),
+    ])
+    def test_exact_roots_print_without_looping(self, base, places, text):
+        assert cli._decimals(cli.as_beta(base), places) == text
+
+    @pytest.mark.parametrize("eps", ["0.4", "1e-2", "1e-5", "1e-12"])
+    def test_kl_text_is_shared_by_both_ends(self, capsys, monkeypatch, eps):
+        brackets = _kept_results(monkeypatch, "kl_bracket")
+        assert run(capsys, "kl", "--eps", eps) == (0, "1.78723\n", "")
+        assert [round(end * 10 ** 5) for end in brackets[-1]] == [178723, 178723]
 
 
 class TestRoundTrips:
@@ -511,8 +582,56 @@ def test_documented_commands_run(capsys, parser_builds):
     assert len(built) <= tree
 
 
-def test_main_builds_at_most_one_parser_tree(capsys, parser_builds):
+def test_main_builds_at_most_one_parser_tree(capsys, monkeypatch, parser_builds):
+    """A known command builds its own parser, once, and never the tree."""
+    def unreachable():
+        raise AssertionError("the parser tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", unreachable)
+    monkeypatch.setattr(cli, "_command_parser", functools.cache(cli._command_parser.__wrapped__))
     for _ in range(3):
         assert run(capsys, "check-unique", "--beta", "float:1.9", "--seq", "(01)^w")[0] == 0
-    built, tree = parser_builds
-    assert len(built) <= tree
+    built, _ = parser_builds
+    assert len(built) == 1
+
+
+def _exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+# each is refused by the parser; argparse's wording differs between
+# Python versions, so main is held to the tree's, not to fixed text
+USAGE_ERRORS = {
+    "unknown option": ["beta-n", "5", "--bogus"],
+    "unknown option after a value": ["kl", "--eps", "1e-5", "--seed", "7"],
+    "unknown option before the command": ["--bogus", "beta-n", "5"],
+    "stray positional": ["beta-n", "5", "6"],
+    "stray positionals, no arguments taken": ["verify-lemmas", "a", "b"],
+    "missing --beta": ["check-unique", "--seq", "(01)^w"],
+    "missing --seq": ["check-unique", "--beta", "float:1.9"],
+    "missing positional": ["beta-n"],
+    "bad int": ["beta-n", "x"],
+    "bad --eps": ["q-n", "3", "--eps", "0"],
+    "bad --format choice": ["table", "3", "--format", "xml"],
+    "no command": [],
+    "unknown command": ["no-such-command"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_match_the_parser_tree(capsys, argv):
+    want = _exit(cli.build_parser().parse_args, argv, capsys)
+    assert want[0] == 1 and want[2]
+    assert _exit(main, argv, capsys) == want
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_matches_the_parser_tree(capsys, command):
+    want = _exit(cli.build_parser().parse_args, [command, "-h"], capsys)
+    assert want[0] == 0 and want[1].startswith("usage: ")
+    assert _exit(main, [command, "-h"], capsys) == want
+    assert _exit(main, [command, "5", "--help"], capsys) == want
